@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-detect bench-diff eval fuzz report adversary commute-agreement ci clean
+.PHONY: all build test vet race bench bench-detect bench-diff bench-pipeline eval fuzz report adversary commute-agreement ci clean
 
 all: build test
 
@@ -41,6 +41,20 @@ bench-diff:
 	$(GO) test -run '^$$' -bench BenchmarkDetectEngines -benchmem -benchtime 3x . \
 		| awk -f scripts/benchjson.awk > BENCH_detect.new.json
 	$(GO) run ./scripts/benchdiff -parallel-wins BENCH_detect.json BENCH_detect.new.json
+
+# End-to-end repair benchmark (pipebench/, its own Go module): vet and
+# unit-test it, then make a 3-second paper-suite run, which re-checks
+# all 12 repaired programs against pipebench/expected/*.out and
+# re-detects them race-free. Fails unless the run's JSON line reports
+# "correct":true and "failed":0.
+bench-pipeline:
+	cd pipebench && $(GO) vet ./... && $(GO) test ./...
+	@out=$$(bash pipebench/run.sh --workload paper-suite --seed 1 --seconds 3 --trace 0 | tail -n 1); \
+	echo "$$out"; \
+	case "$$out" in \
+		*'"correct":true,'*'"failed":0,'*) ;; \
+		*) echo "pipebench smoke run failed"; exit 1;; \
+	esac
 
 # Regenerate the archived evaluation output (all paper tables, figures,
 # and studies). The full figure-16 inputs take a few minutes; lower

@@ -328,24 +328,82 @@ func BenchmarkOracle(b *testing.B) {
 }
 
 // BenchmarkDPSolver measures Algorithm 1 on dependence graphs of
-// increasing size (the O(n^3) dynamic program).
+// increasing size (the O(n^3) dynamic program). The n=N rows pass no
+// VALID predicate; the scoped/n=N rows pass one with the cost profile of
+// the real one (scopedValid), which the repair loop always supplies.
+// Both report ns per DP state.
 func BenchmarkDPSolver(b *testing.B) {
-	for _, n := range []int{8, 32, 128, 512} {
-		p := &repair.Problem{N: n, T: make([]int64, n), Async: make([]bool, n)}
-		for i := 0; i < n; i++ {
-			p.T[i] = int64(i%13 + 1)
-			p.Async[i] = i%2 == 0
-		}
-		for i := 0; i+3 < n; i += 4 {
-			p.Edges = append(p.Edges, [2]int{i, i + 3})
-		}
-		b.Run(benchName(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := repair.Solve(p); err != nil {
-					b.Fatal(err)
-				}
+	for _, scoped := range []bool{false, true} {
+		for _, n := range []int{8, 32, 128, 512} {
+			p := &repair.Problem{N: n, T: make([]int64, n), Async: make([]bool, n)}
+			for i := 0; i < n; i++ {
+				p.T[i] = int64(i%13 + 1)
+				p.Async[i] = i%2 == 0
 			}
-		})
+			for i := 0; i+3 < n; i += 4 {
+				p.Edges = append(p.Edges, [2]int{i, i + 3})
+			}
+			name := benchName(n)
+			if scoped {
+				for i := 0; i+5 < n; i += 8 {
+					p.Edges = append(p.Edges, [2]int{i, i + 5})
+				}
+				p.Valid = scopedValid(n)
+				name = "scoped/" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				var states int64
+				for i := 0; i < b.N; i++ {
+					sol, err := repair.Solve(p)
+					if err != nil {
+						b.Fatal(err)
+					}
+					states += sol.States
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(states), "ns/state")
+			})
+		}
+	}
+}
+
+// scopedValid is a VALID predicate over a synthetic scope tree: the n
+// vertices are the leaves of a tree that splits every range into up to
+// four near-equal children, and a block s..e is expressible when it is a
+// run of whole consecutive children of one node. Like computeWrap, each
+// call climbs parent links to the lowest common ancestor.
+func scopedValid(n int) func(s, e int) bool {
+	var parent, depth, lo, hi []int
+	leaf := make([]int, n)
+	var build func(a, c, par, d int)
+	build = func(a, c, par, d int) {
+		id := len(parent)
+		parent, depth, lo, hi = append(parent, par), append(depth, d), append(lo, a), append(hi, c)
+		if a == c {
+			leaf[a] = id
+			return
+		}
+		size := c - a + 1
+		parts := min(size, 4)
+		for k := 0; k < parts; k++ {
+			build(a+k*size/parts, a+(k+1)*size/parts-1, id, d+1)
+		}
+	}
+	build(0, n-1, -1, 0)
+	return func(s, e int) bool {
+		x, y := leaf[s], leaf[e]
+		if x == y {
+			return true
+		}
+		for depth[x] > depth[y] {
+			x = parent[x]
+		}
+		for depth[y] > depth[x] {
+			y = parent[y]
+		}
+		for parent[x] != parent[y] {
+			x, y = parent[x], parent[y]
+		}
+		return lo[x] == s && hi[y] == e
 	}
 }
 

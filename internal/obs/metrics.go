@@ -4,6 +4,7 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -109,7 +110,11 @@ func BucketRange(i int) (lo, hi int64) {
 
 // BucketQuantile estimates the q-quantile of a power-of-two bucket count
 // vector as produced by Histogram.Buckets (and by Registry.Delta for
-// interval distributions).
+// interval distributions). The target is the nearest-rank sample,
+// ceil(q·n) (at least 1); inside its bucket the c samples are taken to
+// sit at the midpoints of c equal slices of [lo, hi+1), so a bucket's
+// only sample reads as the bucket's midpoint. Samples are integers, so
+// the estimate is capped at hi, the largest value the bucket holds.
 func BucketQuantile(buckets []int64, q float64) float64 {
 	var total int64
 	for _, c := range buckets {
@@ -118,26 +123,17 @@ func BucketQuantile(buckets []int64, q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Rank of the target observation, 1-based.
-	rank := int64(q*float64(total-1)) + 1
+	q = min(max(q, 0), 1)
+	rank := max(int64(math.Ceil(q*float64(total))), 1)
 	var cum int64
 	for i, c := range buckets {
-		if c == 0 {
-			continue
-		}
 		if cum+c >= rank {
 			lo, hi := BucketRange(i)
-			if c == 1 || lo == hi {
+			if lo == hi {
 				return float64(lo)
 			}
-			frac := float64(rank-cum-1) / float64(c-1)
-			return float64(lo) + frac*float64(hi-lo)
+			frac := (float64(rank-cum) - 0.5) / float64(c)
+			return min(float64(lo)+frac*float64(hi+1-lo), float64(hi))
 		}
 		cum += c
 	}

@@ -254,6 +254,32 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// Small samples: the nearest rank ceil(q·n) picks the sample, and a
+// bucket's only sample reads as the bucket's midpoint.
+func TestBucketQuantileSmallSamples(t *testing.T) {
+	for _, tc := range []struct {
+		samples []int64
+		q       float64
+		lo, hi  float64
+	}{
+		{[]int64{3, 1000}, 0.95, 512, 1023},
+		{[]int64{3, 1000}, 0.50, 2, 3},
+		{[]int64{700}, 0.50, 768, 768},
+		{[]int64{700}, 0, 768, 768},
+		{[]int64{0}, 0.99, 0, 0},
+		{[]int64{1, 1, 1}, 0.50, 1, 1},
+		{[]int64{5, 6}, 1, 6, 8},
+	} {
+		var h Histogram
+		for _, v := range tc.samples {
+			h.Observe(v)
+		}
+		if got := h.Quantile(tc.q); got < tc.lo || got > tc.hi {
+			t.Errorf("q%.2f of %v = %.1f, want in [%.0f, %.0f]", tc.q, tc.samples, got, tc.lo, tc.hi)
+		}
+	}
+}
+
 func TestSnapshotHistogramSample(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("test.lat_ns")

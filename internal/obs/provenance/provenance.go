@@ -221,14 +221,14 @@ func (e *Explain) Finalize() {
 			}
 			for _, f := range g.Chosen {
 				e.Finishes = append(e.Finishes, FinishEntry{
-					Iteration:   it.N,
-					Finish:      f,
-					LCA:         g.LCA,
-					Races:       g.Races,
-					DPStates:    g.DPStates,
-					Fallback:    g.Fallback,
-					CPLBefore:   before,
-					CPLAfter:    after,
+					Iteration:     it.N,
+					Finish:        f,
+					LCA:           g.LCA,
+					Races:         g.Races,
+					DPStates:      g.DPStates,
+					Fallback:      g.Fallback,
+					CPLBefore:     before,
+					CPLAfter:      after,
 					Strategy:      g.Strategy,
 					StrategyWhy:   g.StrategyWhy,
 					CommuteFamily: g.CommuteFamily,

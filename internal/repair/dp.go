@@ -35,7 +35,9 @@ type Problem struct {
 	Edges [][2]int // dependence edges (races), x < y
 	// Valid reports whether a finish enclosing exactly vertices s..e is
 	// statically expressible (Algorithm 2 / scope rules). Nil means
-	// always valid.
+	// always valid. Solve memoizes it: each (s, e) is asked at most once,
+	// and only when some split needs a finish around s..e, so Valid must
+	// give the same answer for the whole Solve call.
 	Valid func(s, e int) bool
 	// Meter, when set, charges explored DP states against the pipeline's
 	// shared budget and checks cancellation between cells; Solve returns
@@ -64,9 +66,21 @@ type Solution struct {
 
 const inf = int64(math.MaxInt64 / 4)
 
+// States of the VALID memo.
+const (
+	validUnknown uint8 = iota
+	validYes
+	validNo
+)
+
 // Solve runs the dynamic program of Algorithm 1 and extracts the finish
 // set with Algorithm 3. It returns an error when some dependence cannot
 // be satisfied by any statically valid finish placement.
+//
+// Every table is n×n and row-major, so the k-loop of cell (i, j) reads
+// only contiguous runs: the left halves opt/est[i][i..j-1] and the
+// crossing bounds reach[i][i..j-1] from row i, the right halves
+// opt/est[i+1..j][j] from row j of the transposed copies.
 func Solve(p *Problem) (*Solution, error) {
 	n := p.N
 	if n == 0 {
@@ -80,23 +94,20 @@ func Solve(p *Problem) (*Solution, error) {
 		valid = func(int, int) bool { return true }
 	}
 
-	// cross(i, k, j): does any edge leave i..k into k+1..j? Answered in
-	// O(1) from 2-D prefix sums over the edge matrix.
-	pre := newEdgePrefix(n, p.Edges)
-
-	idx := func(i, j int) int { return i*n + j }
+	reach := newReach(n, p.Edges)
+	memo := make([]uint8, n*n) // VALID(i, k), filled on first use
 	opt := make([]int64, n*n)
-	est := make([]int64, n*n) // est[i][j]: earliest start of j+1 given block i..j
-	part := make([]int, n*n)
+	optT := make([]int64, n*n) // optT[j*n+i] = opt[i*n+j]
+	est := make([]int64, n*n)  // est[i][j]: earliest start of j+1 given block i..j
+	estT := make([]int64, n*n)
+	part := make([]int32, n*n)
 	fin := make([]bool, n*n)
 
 	for i := 0; i < n; i++ {
-		opt[idx(i, i)] = p.T[i]
-		part[idx(i, i)] = i
-		if p.Async[i] {
-			est[idx(i, i)] = 0
-		} else {
-			est[idx(i, i)] = p.T[i]
+		d := i*n + i
+		opt[d], optT[d] = p.T[i], p.T[i]
+		if !p.Async[i] {
+			est[d], estT[d] = p.T[i], p.T[i]
 		}
 	}
 
@@ -104,9 +115,6 @@ func Solve(p *Problem) (*Solution, error) {
 	for s := 2; s <= n; s++ {
 		for i := 0; i+s-1 < n; i++ {
 			j := i + s - 1
-			cmin := inf
-			bestP, bestF := -1, false
-			bestE := int64(0)
 			sol.States += int64(j - i)
 			// Budget/cancellation check once per cell: the DP-state limit
 			// and the deadline both trip mid-placement, letting the repair
@@ -115,38 +123,55 @@ func Solve(p *Problem) (*Solution, error) {
 			if err := p.Meter.AddDPStates(int64(j - i)); err != nil {
 				return nil, err
 			}
-			for k := i; k < j; k++ {
+			// Split d puts i..i+d left and i+d+1..j right.
+			lo, hi := i*n+i, i*n+j
+			optL, estL := opt[lo:hi], est[lo:hi]
+			reachL, memoL := reach[lo:hi], memo[lo:hi]
+			// Cut to len(optL), which drops the loop's bounds checks.
+			optR, estR := optT[j*n+i+1:][:len(optL)], estT[j*n+i+1:][:len(optL)]
+			cmin := inf
+			bestD, bestF := -1, false
+			bestE := int64(0)
+			for d := range optL {
 				var c, e int64
 				var f bool
-				if pre.cross(i, k, j) {
+				if int(reachL[d]) <= j {
 					// A dependence crosses the partition: a finish around
-					// i..k is required; it must be statically valid.
-					if !valid(i, k) {
+					// i..i+d is required; it must be statically valid.
+					v := memoL[d]
+					if v == validUnknown {
+						v = validNo
+						if valid(i, i+d) {
+							v = validYes
+						}
+						memoL[d] = v
+					}
+					if v != validYes {
 						continue
 					}
-					c = opt[idx(i, k)] + opt[idx(k+1, j)]
+					c = optL[d] + optR[d]
 					f = true
-					e = opt[idx(i, k)] + est[idx(k+1, j)]
+					e = optL[d] + estR[d]
 				} else {
-					c = max64(opt[idx(i, k)], est[idx(i, k)]+opt[idx(k+1, j)])
-					f = false
-					e = est[idx(i, k)] + est[idx(k+1, j)]
+					c = max(optL[d], estL[d]+optR[d])
+					e = estL[d] + estR[d]
 				}
 				if c < cmin {
-					cmin, bestP, bestF, bestE = c, k, f, e
+					cmin, bestD, bestF, bestE = c, d, f, e
 				}
 			}
-			if bestP < 0 {
+			if bestD < 0 {
 				return nil, &UnsatisfiableError{I: i, J: j}
 			}
-			opt[idx(i, j)] = cmin
-			part[idx(i, j)] = bestP
-			fin[idx(i, j)] = bestF
-			est[idx(i, j)] = bestE
+			ij, ji := i*n+j, j*n+i
+			opt[ij], optT[ji] = cmin, cmin
+			est[ij], estT[ji] = bestE, bestE
+			part[ij] = int32(i + bestD)
+			fin[ij] = bestF
 		}
 	}
 
-	sol.Cost = opt[idx(0, n-1)]
+	sol.Cost = opt[n-1]
 	// Algorithm 3 (with the split corrected to begin..p / p+1..end; the
 	// paper's FIND(p, end) double-counts vertex p).
 	var find func(begin, end int)
@@ -154,8 +179,8 @@ func Solve(p *Problem) (*Solution, error) {
 		if begin >= end {
 			return
 		}
-		pnt := part[idx(begin, end)]
-		if fin[idx(begin, end)] {
+		pnt := int(part[begin*n+end])
+		if fin[begin*n+end] {
 			sol.Finishes = append(sol.Finishes, FinishBlock{S: begin, E: pnt})
 		}
 		find(begin, pnt)
@@ -163,6 +188,36 @@ func Solve(p *Problem) (*Solution, error) {
 	}
 	find(0, n-1)
 	return sol, nil
+}
+
+// newReach builds the crossing table of Solve: reach[i*n+k] (i <= k) is
+// the smallest sink y > k of any edge whose source lies in i..k, or n
+// when there is none. An edge leaves i..k into k+1..j exactly when
+// reach[i*n+k] <= j. Each edge (x, y) first marks reach[x*n+y-1] = y;
+// row i is then a suffix minimum of its marks (the smallest sink y > k
+// of an edge leaving i) folded with row i+1.
+func newReach(n int, edges [][2]int) []int32 {
+	reach := make([]int32, n*n)
+	for k := range reach {
+		reach[k] = int32(n)
+	}
+	for _, e := range edges {
+		if x, y := e[0], e[1]; x < y {
+			reach[x*n+y-1] = int32(y)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		row := reach[i*n : i*n+n]
+		own := int32(n)
+		for k := n - 1; k >= i; k-- {
+			own = min(own, row[k])
+			row[k] = own
+			if k > i {
+				row[k] = min(own, reach[(i+1)*n+k])
+			}
+		}
+	}
+	return reach
 }
 
 // UnsatisfiableError reports a subproblem whose crossing dependences have
@@ -174,39 +229,4 @@ type UnsatisfiableError struct {
 // Error implements the error interface.
 func (e *UnsatisfiableError) Error() string {
 	return fmt.Sprintf("repair: no statically valid finish placement for vertices %d..%d", e.I, e.J)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// edgePrefix answers rectangle-emptiness queries over the edge set.
-type edgePrefix struct {
-	n   int
-	sum []int32 // (n+1)x(n+1) prefix sums of the 0/1 edge matrix
-}
-
-func newEdgePrefix(n int, edges [][2]int) *edgePrefix {
-	w := n + 1
-	sum := make([]int32, w*w)
-	for _, e := range edges {
-		x, y := e[0], e[1]
-		sum[(x+1)*w+(y+1)]++
-	}
-	for r := 1; r < w; r++ {
-		for c := 1; c < w; c++ {
-			sum[r*w+c] += sum[(r-1)*w+c] + sum[r*w+c-1] - sum[(r-1)*w+c-1]
-		}
-	}
-	return &edgePrefix{n: n, sum: sum}
-}
-
-// cross reports whether any edge goes from [i..k] into [k+1..j].
-func (p *edgePrefix) cross(i, k, j int) bool {
-	w := p.n + 1
-	rect := p.sum[(k+1)*w+(j+1)] - p.sum[i*w+(j+1)] - p.sum[(k+1)*w+(k+1)] + p.sum[i*w+(k+1)]
-	return rect > 0
 }

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -318,7 +319,8 @@ func placeGroup(g *group, maxGraph int, m *guard.Meter) ([]Placement, placeInfo,
 
 	sol, err := Solve(prob)
 	if err != nil {
-		if _, ok := err.(*UnsatisfiableError); ok {
+		var unsat *UnsatisfiableError
+		if errors.As(err, &unsat) {
 			info.Fallback = true
 			ps, ferr := fallbackPlacements(nodes, edges)
 			return ps, info, ferr

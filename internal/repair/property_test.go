@@ -1,7 +1,6 @@
 package repair_test
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -146,86 +145,8 @@ func TestRepairIdempotent(t *testing.T) {
 }
 
 // ----------------------------------------------------------------------
-// DP solver properties against brute force.
-
-// bruteForce enumerates every properly nested finish set over intervals
-// of 0..n-1 that satisfies the dependences and returns the minimum cost.
-func bruteForce(t *testing.T, p *repair.Problem) (int64, bool) {
-	t.Helper()
-	var intervals [][2]int
-	for s := 0; s < p.N; s++ {
-		for e := s; e < p.N; e++ {
-			intervals = append(intervals, [2]int{s, e})
-		}
-	}
-	best := int64(-1)
-	found := false
-	var rec func(i int, chosen []repair.FinishBlock)
-	rec = func(i int, chosen []repair.FinishBlock) {
-		if i == len(intervals) {
-			if !repair.Satisfies(p, chosen) {
-				return
-			}
-			c, err := repair.Evaluate(p, chosen)
-			if err != nil {
-				return // partially overlapping; skip
-			}
-			if !found || c < best {
-				best, found = c, true
-			}
-			return
-		}
-		rec(i+1, chosen)
-		rec(i+1, append(chosen, repair.FinishBlock{S: intervals[i][0], E: intervals[i][1]}))
-	}
-	rec(0, nil)
-	return best, found
-}
-
-// Property: on small random instances with no static restrictions,
-// Algorithm 1 attains the brute-force optimum, its reported cost equals
-// the evaluation of its own finish set, and the finish set satisfies all
-// dependences.
-func TestSolveMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 120; trial++ {
-		n := 2 + rng.Intn(3) // 2..4 vertices: brute force is 2^(n(n+1)/2)
-		p := &repair.Problem{N: n, T: make([]int64, n), Async: make([]bool, n)}
-		for i := 0; i < n; i++ {
-			p.T[i] = int64(1 + rng.Intn(20))
-			p.Async[i] = rng.Intn(2) == 0
-		}
-		for x := 0; x < n; x++ {
-			for y := x + 1; y < n; y++ {
-				if rng.Intn(3) == 0 {
-					p.Edges = append(p.Edges, [2]int{x, y})
-				}
-			}
-		}
-		sol, err := repair.Solve(p)
-		if err != nil {
-			t.Fatalf("trial %d: %v (problem %+v)", trial, err, p)
-		}
-		if !repair.Satisfies(p, sol.Finishes) {
-			t.Fatalf("trial %d: solution %v violates dependences %v", trial, sol.Finishes, p.Edges)
-		}
-		got, err := repair.Evaluate(p, sol.Finishes)
-		if err != nil {
-			t.Fatalf("trial %d: evaluate: %v", trial, err)
-		}
-		if got != sol.Cost {
-			t.Fatalf("trial %d: Evaluate(sol)=%d but Cost=%d (%+v, finishes %v)",
-				trial, got, sol.Cost, p, sol.Finishes)
-		}
-		want, ok := bruteForce(t, p)
-		if !ok {
-			t.Fatalf("trial %d: brute force found no valid set but Solve did", trial)
-		}
-		if sol.Cost != want {
-			t.Fatalf("trial %d: Solve=%d, brute force=%d (%+v)", trial, sol.Cost, want, p)
-		}
-	}
-}
+// DP solver properties (the brute-force and reference oracles are in
+// dp_test.go).
 
 // Property (quick): without edges, the cost never exceeds the serial sum
 // and never undercuts the maximum single vertex.
