@@ -11,6 +11,7 @@
 package main_test
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
@@ -24,9 +25,11 @@ import (
 	"finishrepair/internal/lang/lexer"
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
+	"finishrepair/internal/obs"
 	"finishrepair/internal/parinterp"
 	"finishrepair/internal/race"
 	"finishrepair/internal/repair"
+	"finishrepair/internal/trace"
 	"finishrepair/taskpar"
 )
 
@@ -468,6 +471,71 @@ func BenchmarkShadowEpoch(b *testing.B) {
 	}
 	b.Run("fresh", func(b *testing.B) { run(b, false) })
 	b.Run("pooled", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkRaceReports measures the race-report path on the two
+// benchmarks with the most raw reports. "analyze" is an MRW analysis of
+// the captured trace through Races(): raw reports logged, then resolved
+// and deduplicated. "trace-io" is the race-trace round trip the repair
+// loop runs every round (WriteTrace, then ReadTrace against the same
+// S-DPST). Both report ns per raw report, the raw count taken from the
+// race.raw_reports counter.
+func BenchmarkRaceReports(b *testing.B) {
+	for _, name := range []string{"Mergesort", "LUFact"} {
+		bm := bench.Get(name)
+		prog := parser.MustParse(bm.Src(bm.RepairSize))
+		ast.StripFinishes(prog)
+		info := sem.MustCheck(prog)
+		_, tr, err := race.Capture(info, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		analyze := func() (*race.MRW, *trace.Result) {
+			det := race.NewMRW(race.NewBagsOracle())
+			rr, err := race.Analyze(tr, info.Prog, nil, det, nil, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return det, rr
+		}
+		before := obs.Default().Snapshot()
+		det, rr := analyze()
+		var raw int64
+		for _, s := range obs.Default().Delta(before) {
+			if s.Name == "race.raw_reports" {
+				raw = s.Value
+			}
+		}
+		races := det.Races()
+		if raw < int64(len(races)) || len(races) == 0 {
+			b.Fatalf("%s: %d raw reports behind %d races", name, raw, len(races))
+		}
+		perRaw := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(raw), "ns/raw-report")
+		}
+		b.Run(name+"/analyze", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, _ := analyze()
+				d.Release()
+			}
+			perRaw(b)
+		})
+		b.Run(name+"/trace-io", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var buf bytes.Buffer
+				if err := race.WriteTrace(&buf, races); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := race.ReadTrace(&buf, rr.Tree); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRaw(b)
+		})
+		det.Release()
+	}
 }
 
 func benchName(n int) string {

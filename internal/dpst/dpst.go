@@ -170,6 +170,10 @@ func (t *Tree) NumNodes() int {
 	return n
 }
 
+// IDBound returns one more than the largest ID handed out so far: every
+// node of the tree, live or collapsed, has an ID in [0, IDBound()).
+func (t *Tree) IDBound() int { return t.nextID }
+
 // CollapseScope implements maximal steps (paper §3: a step is a MAXIMAL
 // sequence of statement instances with no asyncs and finishes): when a
 // scope instance closes and its subtree contains no async or finish —

@@ -28,6 +28,7 @@ var KnownMetrics = map[string]string{
 	// race: dynamic detection (ESP-bags / vector clocks over the trace IR).
 	"race.detect_runs":    "counter",
 	"race.races_found":    "counter",
+	"race.raw_reports":    "counter",
 	"race.races_per_run":  "histogram",
 	"race.sdpst_nodes":    "gauge",
 	"race.trace_captures": "counter",

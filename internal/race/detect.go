@@ -16,6 +16,7 @@ import (
 var (
 	mDetectRuns    = obs.Default().Counter("race.detect_runs")
 	mRacesFound    = obs.Default().Counter("race.races_found")
+	mRawReports    = obs.Default().Counter("race.raw_reports")
 	mRacesPerRun   = obs.Default().Histogram("race.races_per_run")
 	mSDPSTNodes    = obs.Default().Gauge("race.sdpst_nodes")
 	mTraceCaptures = obs.Default().Counter("race.trace_captures")
@@ -129,6 +130,7 @@ func observeAnalysis(det Detector, rr *trace.Result, elapsed time.Duration) {
 	mDetectRuns.Inc()
 	n := int64(len(det.Races()))
 	mRacesFound.Add(n)
+	mRawReports.Add(int64(rawReports(det)))
 	mRacesPerRun.Observe(n)
 	if rr.Tree != nil {
 		mSDPSTNodes.Set(int64(rr.Tree.NumNodes()))

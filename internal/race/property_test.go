@@ -2,7 +2,11 @@ package race_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"finishrepair/internal/dpst"
@@ -109,6 +113,15 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := race.WriteTrace(&buf, races); err != nil {
 		t.Fatal(err)
 	}
+	// A bytes.Buffer is encoded in place; any other writer gets the same
+	// bytes from one buffer of the trace's exact size.
+	var plain bytes.Buffer
+	if err := race.WriteTrace(struct{ io.Writer }{&plain}, races); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), buf.Bytes()) || buf.Len() != 12+38*len(races) {
+		t.Fatalf("trace of %d races: %d bytes in place, %d via a plain writer", len(races), buf.Len(), plain.Len())
+	}
 	got, err := race.ReadTrace(&buf, res.Tree)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +131,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	for i := range races {
 		if got[i].Src != races[i].Src || got[i].Dst != races[i].Dst ||
-			got[i].Loc != races[i].Loc || got[i].Kind != races[i].Kind {
+			got[i].Loc != races[i].Loc || got[i].Kind != races[i].Kind ||
+			got[i].SrcSite != races[i].SrcSite || got[i].DstSite != races[i].DstSite {
 			t.Fatalf("race %d mismatch: %v vs %v", i, got[i], races[i])
 		}
 	}
@@ -133,11 +147,46 @@ func TestTraceRejectsGarbage(t *testing.T) {
 	if err := race.WriteTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
+	hdr := func(n uint32) []byte {
+		h := bytes.Clone(buf.Bytes()[:12])
+		binary.LittleEndian.PutUint32(h[8:12], n)
+		return h
+	}
+	other := hdr(0)
+	other[4] = 1
+	if _, err := race.ReadTrace(bytes.NewReader(other), tree); err == nil {
+		t.Error("expected error for unsupported version")
+	}
 	// Truncate a valid header promising one record.
-	b := buf.Bytes()
-	b[4] = 1
-	if _, err := race.ReadTrace(bytes.NewReader(b), tree); err == nil {
+	if _, err := race.ReadTrace(bytes.NewReader(hdr(1)), tree); err == nil {
 		t.Error("expected error for truncated trace")
+	}
+
+	// Short bodies name the first record that could not be read in full.
+	for _, tc := range []struct {
+		in   []byte
+		want string
+	}{
+		{append(hdr(2), make([]byte, 38)...), "race trace: truncated at record 1: EOF"},
+		{append(hdr(2), make([]byte, 38+19)...), "race trace: truncated at record 1: unexpected EOF"},
+		{append(hdr(3), make([]byte, 10)...), "race trace: truncated at record 0: unexpected EOF"},
+	} {
+		if _, err := race.ReadTrace(bytes.NewReader(tc.in), tree); err == nil || err.Error() != tc.want {
+			t.Errorf("%d-byte trace: got error %v, want %q", len(tc.in), err, tc.want)
+		}
+	}
+
+	// A header promising 0xFFFFFFFF records over an empty body must fail
+	// on the short body without sizing anything from the count.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := race.ReadTrace(bytes.NewReader(hdr(0xFFFFFFFF)), tree)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated at record 0") {
+		t.Errorf("huge record count: got error %v, want truncated at record 0", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Errorf("huge record count: allocated %d bytes before failing", alloc)
 	}
 }
 

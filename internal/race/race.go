@@ -68,7 +68,7 @@ type Race struct {
 	Kind             Kind
 	SrcSite, DstSite trace.Site
 	// ord is the global access-op index that produced this raw report.
-	// The sharded analysis path sorts per-shard reports by ord to
+	// The sharded analysis path merges per-shard report logs by ord to
 	// reconstruct exactly the serial raw-report order; it stays 0 for
 	// serial scans, where append order already is that order.
 	ord uint64
@@ -151,87 +151,6 @@ type access struct {
 	site trace.Site
 }
 
-type raceKey struct {
-	loc      uint64
-	src, dst int32
-	kind     Kind
-}
-
-// recorder stores raw race reports and deduplicates them lazily: report
-// is a plain arena append (the scan watermarks in mrwList already keep
-// the raw stream near-distinct), and the one dedupe map is built per
-// resolved() call, whose result is cached until the next report.
-type recorder struct {
-	races []Race
-	cache []*Race
-	seen  map[raceKey]int32 // scratch for resolved(), reused across runs
-	ord   uint64            // stamp for subsequent reports (sharded scans)
-}
-
-func newRecorder() recorder { return recorder{} }
-
-func (rc *recorder) reset() {
-	clear(rc.races) // drop S-DPST node references before pooling
-	rc.races = rc.races[:0]
-	rc.cache = nil
-	rc.ord = 0
-}
-
-func (rc *recorder) report(src, dst *dpst.Node, loc uint64, kind Kind, srcSite, dstSite trace.Site) {
-	rc.races = append(rc.races, Race{Src: src, Dst: dst, Loc: loc, Kind: kind, SrcSite: srcSite, DstSite: dstSite, ord: rc.ord})
-	rc.cache = nil
-}
-
-// adopt appends raw reports merged from other recorders (the sharded
-// analysis path), invalidating any cached resolution. The values are
-// copied, so the source recorders may be reset afterwards.
-func (rc *recorder) adopt(rs []Race) {
-	rc.races = append(rc.races, rs...)
-	rc.cache = nil
-}
-
-// resolved returns the races with their endpoints resolved to live
-// S-DPST steps (fine-grained steps may have been collapsed into maximal
-// steps during construction), deduplicated after resolution. The result
-// is cached until the next report and owns its backing storage, so it
-// stays valid after the recorder is reset for reuse.
-func (rc *recorder) resolved() []*Race {
-	if rc.cache != nil {
-		return rc.cache
-	}
-	if rc.seen == nil {
-		rc.seen = make(map[raceKey]int32, len(rc.races))
-	} else {
-		clear(rc.seen)
-	}
-	// Count the distinct set first so the arena is sized exactly: raw
-	// reports can outnumber distinct races many times over, and a
-	// raw-count-capacity arena per analysis is what the pooling is
-	// there to avoid.
-	for i := range rc.races {
-		r := &rc.races[i]
-		k := raceKey{loc: r.Loc, src: int32(r.Src.Resolve().ID), dst: int32(r.Dst.Resolve().ID), kind: r.Kind}
-		rc.seen[k] = -1
-	}
-	arena := make([]Race, 0, len(rc.seen))
-	for i := range rc.races {
-		r := &rc.races[i]
-		src, dst := r.Src.Resolve(), r.Dst.Resolve()
-		k := raceKey{loc: r.Loc, src: int32(src.ID), dst: int32(dst.ID), kind: r.Kind}
-		if rc.seen[k] >= 0 {
-			continue
-		}
-		rc.seen[k] = int32(len(arena))
-		arena = append(arena, Race{Src: src, Dst: dst, Loc: r.Loc, Kind: r.Kind, SrcSite: r.SrcSite, DstSite: r.DstSite})
-	}
-	out := make([]*Race, len(arena))
-	for i := range arena {
-		out[i] = &arena[i]
-	}
-	rc.cache = out
-	return out
-}
-
 // ----------------------------------------------------------------------
 // SRW ESP-Bags
 
@@ -260,7 +179,7 @@ type SRW struct {
 
 // NewSRW returns an SRW detector using the given oracle.
 func NewSRW(o Oracle) *SRW {
-	return &SRW{oracle: o, cells: make(map[uint64]int32), rec: newRecorder()}
+	return &SRW{oracle: o, cells: make(map[uint64]int32)}
 }
 
 // Presize pre-sizes the shadow map from the expected event count.
@@ -329,9 +248,7 @@ func (d *SRW) Races() []*Race { return d.rec.resolved() }
 // ShadowCells reports the number of distinct locations tracked.
 func (d *SRW) ShadowCells() int { return len(d.cells) }
 
-func (d *SRW) setOrd(ord uint64)    { d.rec.ord = ord }
-func (d *SRW) rawRaces() []Race     { return d.rec.races }
-func (d *SRW) adoptRaces(rs []Race) { d.rec.adopt(rs) }
+func (d *SRW) log() *recorder { return &d.rec }
 
 // ----------------------------------------------------------------------
 // MRW ESP-Bags
@@ -401,8 +318,8 @@ func NewMRW(o Oracle) *MRW {
 	return d
 }
 
-// Presize pre-sizes the shadow map and race records from the expected
-// event count.
+// Presize pre-sizes the shadow map and cell slab from the expected event
+// count.
 func (d *MRW) Presize(events int) {
 	if events <= 0 {
 		return
@@ -414,7 +331,7 @@ func (d *MRW) Presize(events int) {
 }
 
 // Release resets the detector and returns its shadow structures (cell
-// slab, access lists, dedupe tables) to the reuse pool. Race slices
+// slab, access lists, open report chunk) to the reuse pool. Race slices
 // already returned by Races() remain valid; the detector must not be
 // used afterwards. If the oracle is itself a Releaser it is released
 // too.
@@ -557,15 +474,27 @@ func (d *MRW) FinishEnd(n *dpst.Node) { d.oracle.FinishEnd(n) }
 // Races returns the distinct races detected.
 func (d *MRW) Races() []*Race { return d.rec.resolved() }
 
-func (d *MRW) setOrd(ord uint64)    { d.rec.ord = ord }
-func (d *MRW) rawRaces() []Race     { return d.rec.races }
-func (d *MRW) adoptRaces(rs []Race) { d.rec.adopt(rs) }
+func (d *MRW) log() *recorder { return &d.rec }
 
-// ordStamper is the sharded-analysis hook on the concrete detectors:
-// stamping the global access-op index onto raw reports, exposing the raw
-// report stream for merging, and adopting merged reports.
-type ordStamper interface {
-	setOrd(ord uint64)
-	rawRaces() []Race
-	adoptRaces(rs []Race)
+// reportLogger exposes a concrete detector's report log to the sharded
+// analysis path (stamping the global access-op index onto raw reports,
+// merging the per-shard logs) and to the raw-report count.
+type reportLogger interface {
+	log() *recorder
+}
+
+// rawReports is the number of raw reports behind det's races, before
+// resolution and dedupe; 0 for detectors without a report log.
+func rawReports(det Detector) int {
+	switch d := det.(type) {
+	case *Fused:
+		return rawReports(d.Detector)
+	case namedEngine:
+		return rawReports(d.Detector)
+	case *Differential:
+		return rawReports(d.primary)
+	case reportLogger:
+		return d.log().len()
+	}
+	return 0
 }

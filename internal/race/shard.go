@@ -2,7 +2,6 @@ package race
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,11 +25,11 @@ import (
 // Determinism: every access op carries a global index (ord). A raw race
 // report is stamped with the ord of the access that produced it; ord
 // sets are disjoint across shards (one access touches one location,
-// hence one shard), so concatenating the per-shard raw streams and
-// stable-sorting by ord reconstructs exactly the serial raw-report
-// order. The merged stream is adopted into the target engine's
-// recorder, whose shared resolve/dedupe pass then yields byte-identical
-// races for any shard count, including W=1 (serial).
+// hence one shard) and each shard logs its reports in ord order, so a
+// k-way merge of the per-shard logs by ord reconstructs exactly the
+// serial raw-report order. The merge lands in the target engine's
+// report log, whose shared resolve/dedupe pass then yields
+// byte-identical races for any shard count, including W=1 (serial).
 
 // Shard-op kinds.
 const (
@@ -235,7 +234,7 @@ func shardOf(loc uint64, shards int) int {
 // shardWorker drains the op log for shard w: all structure ops feed its
 // private oracle, accesses hashing into w feed its detector, stamped
 // with their global op index.
-func shardWorker(w, shards int, det Detector, st ordStamper, log *opLog, m *guard.Meter) error {
+func shardWorker(w, shards int, det Detector, rec *recorder, log *opLog, m *guard.Meter) error {
 	base := uint64(0)
 	for ci := 0; ; ci++ {
 		chunk, ok, err := log.next(ci)
@@ -250,12 +249,12 @@ func shardWorker(w, shards int, det Detector, st ordStamper, log *opLog, m *guar
 			switch op.kind {
 			case opRead:
 				if shardOf(op.loc, shards) == w {
-					st.setOrd(base + uint64(i))
+					rec.ord = base + uint64(i)
 					det.Read(op.loc, op.step, op.site)
 				}
 			case opWrite:
 				if shardOf(op.loc, shards) == w {
-					st.setOrd(base + uint64(i))
+					rec.ord = base + uint64(i)
 					det.Write(op.loc, op.step, op.site)
 				}
 			case opTaskStart:
@@ -323,7 +322,7 @@ func analyzeShardedFrom(run func(trace.ReplayOptions) (*trace.Result, error), ev
 			// Protect inside the goroutine: a contained panic must surface
 			// as this worker's error, not crash the process.
 			err := guard.Protect("detect", func() error {
-				return shardWorker(w, shards, dets[w], dets[w].(ordStamper), log, m)
+				return shardWorker(w, shards, dets[w], dets[w].(reportLogger).log(), log, m)
 			})
 			if err != nil {
 				errs[w] = err
@@ -370,21 +369,16 @@ func analyzeShardedFrom(run func(trace.ReplayOptions) (*trace.Result, error), ev
 		return nil, rerr
 	}
 
-	// Deterministic merge: concatenate the per-shard raw reports and
-	// stable-sort by global op index — ords are disjoint across shards
-	// and reports from one op keep their scan order, so this is exactly
-	// the serial raw stream. Adopt before releasing the shard detectors
-	// (adopt copies; Release zeroes the source arenas).
-	total := 0
-	for _, d := range dets {
-		total += len(d.(ordStamper).rawRaces())
+	// Deterministic merge: each shard's log is in ord order and ords are
+	// disjoint across shards, so a k-way merge by ord into the fused
+	// engine's log is exactly the serial raw stream. Merge before
+	// releasing the shard detectors (merge copies; Release drops the
+	// source logs).
+	logs := make([]*recorder, shards)
+	for i, d := range dets {
+		logs[i] = d.(reportLogger).log()
 	}
-	merged := make([]Race, 0, total)
-	for _, d := range dets {
-		merged = append(merged, d.(ordStamper).rawRaces()...)
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].ord < merged[j].ord })
-	f.Detector.(ordStamper).adoptRaces(merged)
+	f.Detector.(reportLogger).log().merge(logs)
 
 	for i, d := range dets {
 		if s, ok := d.(ShadowSizer); ok {
