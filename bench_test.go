@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"finishrepair/internal/adversary"
 	"finishrepair/internal/bench"
 	"finishrepair/internal/homework"
 	"finishrepair/internal/interp"
@@ -535,6 +536,78 @@ func BenchmarkRaceReports(b *testing.B) {
 			perRaw(b)
 		})
 		det.Release()
+	}
+}
+
+// BenchmarkAdversaryVerify measures the adversary stage of an
+// -adversary 16 repair: each Table-1 program but LUFact and Mergesort,
+// finish-stripped at repair size, is repaired once outside the timer
+// (strategy auto, collecting every round's racing locations), then
+// adversary.Verify runs it under VerifySchedules(locs, 16, 1) against
+// the serial oracle. It reports ms per schedule, ns per yield point,
+// and the share of yields that hand the token to another task.
+func BenchmarkAdversaryVerify(b *testing.B) {
+	for _, bm := range bench.All() {
+		if bm.Name == "LUFact" || bm.Name == "Mergesort" {
+			continue
+		}
+		prog := parser.MustParse(bm.Src(bm.RepairSize))
+		ast.StripFinishes(prog)
+		seen := map[uint64]bool{}
+		var locs []uint64
+		_, err := repair.Repair(prog, repair.Options{
+			Variant:       race.VariantMRW,
+			UseTraceFiles: true,
+			Workers:       1,
+			Strategy:      repair.StrategyAuto,
+			OnRaces: func(races []*race.Race) {
+				for _, r := range races {
+					if !seen[r.Loc] {
+						seen[r.Loc] = true
+						locs = append(locs, r.Loc)
+					}
+				}
+			},
+		})
+		if err != nil {
+			b.Fatalf("%s: %v", bm.Name, err)
+		}
+		sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
+		info := sem.MustCheck(prog)
+		oracle, err := adversary.Oracle(info, nil)
+		if err != nil || oracle.Err != nil {
+			b.Fatalf("%s oracle: %v %v", bm.Name, err, oracle.Err)
+		}
+		scheds := adversary.VerifySchedules(locs, 16, 1)
+		before := obs.Default().Snapshot()
+		if _, err := adversary.Verify(info, oracle, scheds, adversary.SearchOptions{Seed: 1}); err != nil {
+			b.Fatalf("%s: %v", bm.Name, err)
+		}
+		var yields, handoffs int64
+		for _, x := range obs.Default().Delta(before) {
+			switch x.Name {
+			case "adversary.yields":
+				yields = x.Value
+			case "adversary.handoffs":
+				handoffs = x.Value
+			}
+		}
+		b.Run(bm.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := adversary.Verify(info, oracle, scheds, adversary.SearchOptions{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Failures > 0 {
+					b.Fatalf("%d of %d schedules diverged", rep.Failures, len(scheds))
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns/1e6/float64(len(scheds)), "ms/schedule")
+			b.ReportMetric(ns/float64(yields), "ns/yield")
+			b.ReportMetric(float64(handoffs)/float64(yields), "handoffs/yield")
+		})
 	}
 }
 

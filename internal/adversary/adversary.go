@@ -41,6 +41,7 @@ var (
 	mSchedulesRun     = obs.Default().Counter("adversary.schedules_run")
 	mWitnessesFound   = obs.Default().Counter("adversary.witnesses_found")
 	mYields           = obs.Default().Counter("adversary.yields")
+	mHandoffs         = obs.Default().Counter("adversary.handoffs")
 	mGapSearches      = obs.Default().Counter("adversary.gap_searches")
 	mWitnessNs        = obs.Default().Histogram("adversary.witness_ns")
 	mVerifyScheduleNs = obs.Default().Histogram("adversary.verify_schedule_ns")
@@ -106,6 +107,7 @@ func Run(info *sem.Info, sched Schedule, opts RunOptions) (*Outcome, error) {
 		sched:     sched,
 		rng:       rand.New(rand.NewSource(sched.Seed)),
 		running:   -1,
+		last:      -1,
 		meter:     opts.Meter,
 		maxYields: maxYields,
 		abortCh:   make(chan struct{}),
@@ -122,6 +124,7 @@ func Run(info *sem.Info, sched Schedule, opts RunOptions) (*Outcome, error) {
 		Reached:  ctl.reached,
 	}
 	mYields.Add(ctl.yields)
+	mHandoffs.Add(ctl.handoffs)
 	if ctl.err != nil {
 		// A controller invariant broke (e.g. a blocked task set with no
 		// runnable task): an internal error, not a schedule outcome.
@@ -156,10 +159,6 @@ type task struct {
 	gate   chan struct{} // buffered(1): a grant may precede Begin
 	attach int           // finish scope this task's completion is charged to (-1: none)
 	open   []int         // finish scopes opened by this task, innermost last
-	// pending is the yield point the task is stopped at (valid while
-	// ready-after-yield or deferred).
-	pending    parinterp.Point
-	hasPending bool
 }
 
 type scope struct {
@@ -181,12 +180,14 @@ type controller struct {
 	ready    []int // schedulable task ids, insertion order
 	deferred []int // tasks parked by the defer policy, FIFO
 	running  int   // token holder (-1: free)
+	last     int   // task of the latest grant (-1: none yet)
 	live     int   // registered and not yet ended
 
 	meter     *guard.Meter
 	yields    int64
 	maxYields int64
 	grants    int64
+	handoffs  int64 // grants to a task other than the latest grant's
 	trace     uint64
 
 	aborted bool
@@ -253,7 +254,9 @@ func (c *controller) Begin(id int) {
 }
 
 // Yield parks the task at point p, lets the schedule pick a successor,
-// and returns when the task is granted again.
+// and returns when the task is granted again. When the schedule would
+// pick the yielding task itself, Yield records that grant and returns
+// at once: no ready-list round trip, no gate send, no wait.
 func (c *controller) Yield(id int, p parinterp.Point) {
 	c.mu.Lock()
 	if c.aborted {
@@ -275,16 +278,26 @@ func (c *controller) Yield(id int, p parinterp.Point) {
 		}
 	}
 	t := c.tasks[id]
-	t.pending, t.hasPending = p, true
 	if c.sched.defers(p) {
 		t.state = tDeferred
 		c.deferred = append(c.deferred, id)
+		c.running = -1
+		c.schedule()
 	} else {
+		// schedule() would append id to ready and pick from there; pick
+		// now, with len(ready) standing for id. Picking id is a
+		// self-grant: the task keeps the token.
+		i := c.pickWith(id)
+		if i == len(c.ready) {
+			c.grants++
+			c.trace = fnvMix(c.trace, uint64(id))
+			c.mu.Unlock()
+			return
+		}
 		t.state = tReady
 		c.ready = append(c.ready, id)
+		c.grant(i)
 	}
-	c.running = -1
-	c.schedule()
 	c.mu.Unlock()
 	c.await(t)
 }
@@ -318,7 +331,6 @@ func (c *controller) FinishWait(id int, sid int) {
 	}
 	s.waiting = true
 	t.state = tBlocked
-	t.hasPending = false
 	c.running = -1
 	c.schedule()
 	c.mu.Unlock()
@@ -385,14 +397,21 @@ func (c *controller) schedule() {
 		}
 		return
 	}
-	i := c.pick()
+	c.grant(c.pick())
+}
+
+// grant (mu held) hands the token to ready[i].
+func (c *controller) grant(i int) {
 	id := c.ready[i]
 	c.ready = append(c.ready[:i], c.ready[i+1:]...)
 	t := c.tasks[id]
 	t.state = tRunning
-	t.hasPending = false
 	c.running = id
 	c.grants++
+	if id != c.last {
+		c.handoffs++
+		c.last = id
+	}
 	c.trace = fnvMix(c.trace, uint64(id))
 	t.gate <- struct{}{}
 }
@@ -407,6 +426,24 @@ func (c *controller) pick() int {
 	best := 0
 	for i, id := range c.ready {
 		if id > c.ready[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// pickWith (mu held) is pick over ready with id appended, without
+// appending it: len(ready) stands for id. RandomPriority draws exactly
+// what pick would draw after the append, and the caller grants that
+// same index on the slow path, so the rng sequence is unchanged.
+// Depth-first picks id unless a ready id exceeds it.
+func (c *controller) pickWith(id int) int {
+	if c.sched.Policy == RandomPriority {
+		return c.rng.Intn(len(c.ready) + 1)
+	}
+	best := len(c.ready)
+	for i, r := range c.ready {
+		if r > id && (best == len(c.ready) || r > c.ready[best]) {
 			best = i
 		}
 	}

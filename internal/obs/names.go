@@ -74,6 +74,7 @@ var KnownMetrics = map[string]string{
 	"adversary.schedules_run":      "counter",
 	"adversary.witnesses_found":    "counter",
 	"adversary.yields":             "counter",
+	"adversary.handoffs":           "counter",
 	"adversary.gap_searches":       "counter",
 	"adversary.witness_ns":         "histogram",
 	"adversary.verify_schedule_ns": "histogram",

@@ -5,7 +5,6 @@ import (
 
 	"finishrepair/internal/guard"
 	"finishrepair/internal/interp"
-	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/lang/token"
 )
 
@@ -97,26 +96,19 @@ type Aborted struct{}
 // is a goroutine gated by the controller's token, and every shared
 // access yields first. The root task wraps globals initialization and
 // main in an implicit finish scope so the run joins all tasks.
-func (p *par) runControlled(info *sem.Info, opts Options) (*Result, error) {
+func (p *par) runControlled(prog *program, opts Options) (*Result, error) {
 	opts.Meter.SetPhase("controlled-run")
-	p.nextLoc = 1 + uint64(info.GlobalCount)
+	p.nextLoc = 1 + uint64(p.info.GlobalCount)
 	root := p.ctl.Register(-1)
 	p.spawnTask(root, func(c *tctx) {
 		scope := p.ctl.FinishEnter(c.id)
 		// Globals initialize on the root task before main; allocation
 		// order (and so array loc numbering) matches the sequential
 		// interpreter because no other task exists yet.
-		for _, g := range info.Prog.Globals {
-			c.pos = g.Pos()
-			sym := g.Sym.(*sem.Symbol)
-			if g.Init != nil {
-				p.globals[sym.Slot] = p.eval(c, nil, g.Init)
-			} else {
-				p.globals[sym.Slot] = zeroValue(g.Type)
-			}
+		for _, g := range prog.globals {
+			g(c)
 		}
-		main := info.Prog.Func("main")
-		p.call(c, main, nil)
+		p.invoke(c, prog.main, make(frame, prog.main.size))
 		p.ctl.FinishWait(c.id, scope)
 	})
 	p.wg.Wait()
@@ -125,7 +117,7 @@ func (p *par) runControlled(info *sem.Info, opts Options) (*Result, error) {
 	}
 	return &Result{
 		Output: p.out.String(),
-		State:  interp.RenderState(info, p.globals),
+		State:  interp.RenderState(p.info, p.globals),
 	}, nil
 }
 

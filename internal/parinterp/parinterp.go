@@ -14,11 +14,13 @@
 // every shared-memory access, spawn, and print — so an adversarial
 // controller (internal/adversary) can steer racy programs into chosen
 // interleavings deterministically and without Go-level races.
+//
+// Both modes run the same code: Run compiles the checked program into
+// closures once (compile.go) and executes them.
 package parinterp
 
 import (
 	"bytes"
-	"math"
 	"sync"
 
 	"finishrepair/internal/faults"
@@ -59,15 +61,17 @@ type Result struct {
 	State string
 }
 
-// tctx is the per-task execution context threaded through the
-// interpreter: the taskpar context in free-running mode, or the
-// controller task id plus the innermost statement position in
-// controlled mode.
+// tctx is the per-task execution context threaded through the compiled
+// code: the taskpar context in free-running mode, or the controller
+// task id in controlled mode, plus the innermost statement position
+// (read by controlled-mode yields) and the value of the innermost
+// executed return.
 type tctx struct {
 	tp       *taskpar.Ctx // nil in controlled mode
 	id       int          // controller task id (controlled mode)
-	pos      token.Pos    // innermost statement position (controlled mode)
+	pos      token.Pos    // innermost statement position
 	isoDepth int          // isolated-statement nesting depth (this task)
+	ret      interp.Value
 }
 
 // Run executes the checked program in parallel.
@@ -78,8 +82,9 @@ func Run(info *sem.Info, opts Options) (res *Result, err error) {
 		meter:   opts.Meter,
 		ctl:     opts.Controller,
 	}
+	prog := pi.compile()
 	if pi.ctl != nil {
-		return pi.runControlled(info, opts)
+		return pi.runControlled(prog, opts)
 	}
 	pi.classMu = make([]sync.Mutex, maxLockClass(info.Prog))
 	exec := opts.Executor
@@ -110,16 +115,10 @@ func Run(info *sem.Info, opts Options) (res *Result, err error) {
 			panic(guard.Bail{Err: ferr})
 		}
 		tc := &tctx{tp: c}
-		for _, g := range info.Prog.Globals {
-			sym := g.Sym.(*sem.Symbol)
-			if g.Init != nil {
-				pi.globals[sym.Slot] = pi.eval(tc, nil, g.Init)
-			} else {
-				pi.globals[sym.Slot] = zeroValue(g.Type)
-			}
+		for _, g := range prog.globals {
+			g(tc)
 		}
-		main := info.Prog.Func("main")
-		pi.call(tc, main, nil)
+		pi.invoke(tc, prog.main, make(frame, prog.main.size))
 	})
 	return &Result{Output: pi.out.String()}, nil
 }
@@ -165,168 +164,6 @@ func (p *par) tick() {
 	}
 }
 
-type frame struct {
-	slots []interp.Value
-}
-
-type ctrl struct {
-	returned bool
-	val      interp.Value
-}
-
-func (p *par) call(c *tctx, fn *ast.FuncDecl, args []interp.Value) interp.Value {
-	p.tick()
-	f := &frame{slots: make([]interp.Value, p.info.FrameSize[fn])}
-	copy(f.slots, args)
-	r := p.execBlock(c, f, fn.Body)
-	if r.returned {
-		return r.val
-	}
-	return interp.VoidV()
-}
-
-func (p *par) execBlock(c *tctx, f *frame, b *ast.Block) ctrl {
-	for _, s := range b.Stmts {
-		if r := p.execStmt(c, f, s); r.returned {
-			return r
-		}
-	}
-	return ctrl{}
-}
-
-func (p *par) execStmt(c *tctx, f *frame, s ast.Stmt) ctrl {
-	if p.ctl != nil {
-		c.pos = s.Pos()
-	}
-	switch st := s.(type) {
-	case *ast.VarDeclStmt:
-		sym := st.Sym.(*sem.Symbol)
-		if st.Init != nil {
-			f.slots[sym.Slot] = p.eval(c, f, st.Init)
-		} else {
-			f.slots[sym.Slot] = zeroValue(st.Type)
-		}
-		return ctrl{}
-	case *ast.AssignStmt:
-		p.execAssign(c, f, st)
-		return ctrl{}
-	case *ast.ExprStmt:
-		p.eval(c, f, st.X)
-		return ctrl{}
-	case *ast.ReturnStmt:
-		var v interp.Value
-		if st.Value != nil {
-			v = p.eval(c, f, st.Value)
-		}
-		return ctrl{returned: true, val: v}
-	case *ast.IfStmt:
-		if p.eval(c, f, st.Cond).Bool() {
-			return p.execBlock(c, f, st.Then)
-		}
-		if st.Else != nil {
-			return p.execBlock(c, f, st.Else)
-		}
-		return ctrl{}
-	case *ast.WhileStmt:
-		for p.eval(c, f, st.Cond).Bool() {
-			p.tick()
-			if r := p.execBlock(c, f, st.Body); r.returned {
-				return r
-			}
-			if p.ctl != nil {
-				c.pos = s.Pos()
-			}
-		}
-		return ctrl{}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			if r := p.execStmt(c, f, st.Init); r.returned {
-				return r
-			}
-		}
-		for st.Cond == nil || p.eval(c, f, st.Cond).Bool() {
-			p.tick()
-			if r := p.execBlock(c, f, st.Body); r.returned {
-				return r
-			}
-			if st.Post != nil {
-				if r := p.execStmt(c, f, st.Post); r.returned {
-					return r
-				}
-			}
-			if p.ctl != nil {
-				c.pos = s.Pos()
-			}
-		}
-		return ctrl{}
-	case *ast.AsyncStmt:
-		if c.isoDepth > 0 {
-			panic(&interp.RuntimeError{Msg: "async not allowed inside isolated"})
-		}
-		p.tick()
-		// By-value snapshot of the parent frame (final-variable capture).
-		child := &frame{slots: make([]interp.Value, len(f.slots))}
-		copy(child.slots, f.slots)
-		if p.ctl != nil {
-			id := p.ctl.Register(c.id)
-			p.spawnTask(id, func(cc *tctx) {
-				p.execBlock(cc, child, st.Body)
-			})
-			p.yield(c, OpSpawn, 0)
-			return ctrl{}
-		}
-		c.tp.Async(func(cc *taskpar.Ctx) {
-			p.execBlock(&tctx{tp: cc}, child, st.Body)
-		})
-		return ctrl{}
-	case *ast.FinishStmt:
-		if c.isoDepth > 0 {
-			panic(&interp.RuntimeError{Msg: "finish not allowed inside isolated"})
-		}
-		if p.ctl != nil {
-			scope := p.ctl.FinishEnter(c.id)
-			r := p.execBlock(c, f, st.Body)
-			p.ctl.FinishWait(c.id, scope)
-			return r
-		}
-		var r ctrl
-		c.tp.Finish(func(cc *taskpar.Ctx) {
-			r = p.execBlock(&tctx{tp: cc}, f, st.Body)
-		})
-		return r
-	case *ast.IsolatedStmt:
-		return p.execIsolated(c, f, st)
-	case *ast.BlockStmt:
-		return p.execBlock(c, f, st.Body)
-	}
-	panic(&interp.RuntimeError{Msg: "unknown statement"})
-}
-
-// execIsolated runs st.Body under its lock class's mutual exclusion
-// (outermost level only — the locks are not re-entrant, but nested
-// isolated is already exclusive under the outermost frame's class).
-// Free-running mode: class 0 write-locks the global isolated lock;
-// class c > 0 read-locks it (excluding class 0 but not other classes)
-// and locks its own class mutex. Controlled mode relies on the
-// scheduler token: yield suppresses itself while isoDepth > 0, so the
-// body runs atomically under whichever schedule the controller picked.
-func (p *par) execIsolated(c *tctx, f *frame, st *ast.IsolatedStmt) ctrl {
-	if p.ctl == nil && c.isoDepth == 0 {
-		if cls := st.LockClass; cls > 0 && cls <= len(p.classMu) {
-			p.isoMu.RLock()
-			defer p.isoMu.RUnlock()
-			p.classMu[cls-1].Lock()
-			defer p.classMu[cls-1].Unlock()
-		} else {
-			p.isoMu.Lock()
-			defer p.isoMu.Unlock()
-		}
-	}
-	c.isoDepth++
-	defer func() { c.isoDepth-- }()
-	return p.execBlock(c, f, st.Body)
-}
-
 // maxLockClass scans the program for the highest isolated lock class, to
 // size the per-class mutex table before the run starts.
 func maxLockClass(prog *ast.Program) int {
@@ -348,78 +185,6 @@ func maxLockClass(prog *ast.Program) int {
 	return maxCls
 }
 
-func (p *par) execAssign(c *tctx, f *frame, st *ast.AssignStmt) {
-	rhs := p.eval(c, f, st.RHS)
-	switch lhs := st.LHS.(type) {
-	case *ast.Ident:
-		sym := lhs.Sym.(*sem.Symbol)
-		if st.Op != token.ASSIGN {
-			rhs = compound(st.Op, p.load(c, sym, f), rhs)
-		}
-		p.store(c, sym, f, rhs)
-	case *ast.IndexExpr:
-		av := p.eval(c, f, lhs.X)
-		iv := p.eval(c, f, lhs.Index)
-		if av.A == nil || iv.I < 0 || iv.I >= int64(len(av.A.Elems)) {
-			panic(&interp.RuntimeError{Msg: "index out of range in parallel run"})
-		}
-		if st.Op != token.ASSIGN {
-			p.yield(c, OpRead, av.A.Base+uint64(iv.I))
-			rhs = compound(st.Op, av.A.Elems[iv.I], rhs)
-		}
-		p.yield(c, OpWrite, av.A.Base+uint64(iv.I))
-		av.A.Elems[iv.I] = rhs
-	}
-}
-
-func (p *par) load(c *tctx, sym *sem.Symbol, f *frame) interp.Value {
-	if sym.Kind == sem.GlobalVar {
-		p.yield(c, OpRead, 1+uint64(sym.Slot))
-		return p.globals[sym.Slot]
-	}
-	return f.slots[sym.Slot]
-}
-
-func (p *par) store(c *tctx, sym *sem.Symbol, f *frame, v interp.Value) {
-	if sym.Kind == sem.GlobalVar {
-		p.yield(c, OpWrite, 1+uint64(sym.Slot))
-		p.globals[sym.Slot] = v
-		return
-	}
-	f.slots[sym.Slot] = v
-}
-
-func compound(op token.Kind, old, rhs interp.Value) interp.Value {
-	switch old.K {
-	case interp.KInt:
-		switch op {
-		case token.ADDASSIGN:
-			return interp.IntV(old.I + rhs.I)
-		case token.SUBASSIGN:
-			return interp.IntV(old.I - rhs.I)
-		case token.MULASSIGN:
-			return interp.IntV(old.I * rhs.I)
-		case token.QUOASSIGN:
-			if rhs.I == 0 {
-				panic(&interp.RuntimeError{Msg: "integer division by zero"})
-			}
-			return interp.IntV(old.I / rhs.I)
-		}
-	case interp.KFloat:
-		switch op {
-		case token.ADDASSIGN:
-			return interp.FloatV(old.F + rhs.F)
-		case token.SUBASSIGN:
-			return interp.FloatV(old.F - rhs.F)
-		case token.MULASSIGN:
-			return interp.FloatV(old.F * rhs.F)
-		case token.QUOASSIGN:
-			return interp.FloatV(old.F / rhs.F)
-		}
-	}
-	panic(&interp.RuntimeError{Msg: "invalid compound assignment"})
-}
-
 func zeroValue(t ast.Type) interp.Value {
 	switch tt := t.(type) {
 	case *ast.PrimType:
@@ -437,225 +202,4 @@ func zeroValue(t ast.Type) interp.Value {
 		return interp.Value{K: interp.KArray}
 	}
 	return interp.VoidV()
-}
-
-func (p *par) eval(c *tctx, f *frame, e ast.Expr) interp.Value {
-	switch ex := e.(type) {
-	case *ast.IntLit:
-		return interp.IntV(ex.Value)
-	case *ast.FloatLit:
-		return interp.FloatV(ex.Value)
-	case *ast.BoolLit:
-		return interp.BoolV(ex.Value)
-	case *ast.StringLit:
-		return interp.StringV(ex.Value)
-	case *ast.Ident:
-		return p.load(c, ex.Sym.(*sem.Symbol), f)
-	case *ast.UnaryExpr:
-		x := p.eval(c, f, ex.X)
-		if ex.Op == token.SUB {
-			if x.K == interp.KInt {
-				return interp.IntV(-x.I)
-			}
-			return interp.FloatV(-x.F)
-		}
-		return interp.BoolV(!x.Bool())
-	case *ast.BinaryExpr:
-		return p.evalBinary(c, f, ex)
-	case *ast.IndexExpr:
-		av := p.eval(c, f, ex.X)
-		iv := p.eval(c, f, ex.Index)
-		if av.A == nil || iv.I < 0 || iv.I >= int64(len(av.A.Elems)) {
-			panic(&interp.RuntimeError{Msg: "index out of range in parallel run"})
-		}
-		p.yield(c, OpRead, av.A.Base+uint64(iv.I))
-		return av.A.Elems[iv.I]
-	case *ast.MakeExpr:
-		n := p.eval(c, f, ex.Len)
-		if n.I < 0 {
-			panic(&interp.RuntimeError{Msg: "make with negative length"})
-		}
-		a := &interp.Array{Elems: make([]interp.Value, n.I)}
-		if p.ctl != nil {
-			// Number array locations exactly like the sequential
-			// detector so race-directed schedules can target them.
-			a.Base = p.nextLoc
-			p.nextLoc += uint64(n.I)
-		}
-		z := zeroValue(ex.Elem)
-		for i := range a.Elems {
-			a.Elems[i] = z
-		}
-		return interp.Value{K: interp.KArray, A: a}
-	case *ast.CallExpr:
-		return p.evalCall(c, f, ex)
-	}
-	panic(&interp.RuntimeError{Msg: "unknown expression"})
-}
-
-func (p *par) evalBinary(c *tctx, f *frame, ex *ast.BinaryExpr) interp.Value {
-	switch ex.Op {
-	case token.LAND:
-		if !p.eval(c, f, ex.X).Bool() {
-			return interp.BoolV(false)
-		}
-		return interp.BoolV(p.eval(c, f, ex.Y).Bool())
-	case token.LOR:
-		if p.eval(c, f, ex.X).Bool() {
-			return interp.BoolV(true)
-		}
-		return interp.BoolV(p.eval(c, f, ex.Y).Bool())
-	}
-	x := p.eval(c, f, ex.X)
-	y := p.eval(c, f, ex.Y)
-	if x.K == interp.KInt && y.K == interp.KInt {
-		switch ex.Op {
-		case token.ADD:
-			return interp.IntV(x.I + y.I)
-		case token.SUB:
-			return interp.IntV(x.I - y.I)
-		case token.MUL:
-			return interp.IntV(x.I * y.I)
-		case token.QUO:
-			if y.I == 0 {
-				panic(&interp.RuntimeError{Msg: "integer division by zero"})
-			}
-			return interp.IntV(x.I / y.I)
-		case token.REM:
-			if y.I == 0 {
-				panic(&interp.RuntimeError{Msg: "integer modulo by zero"})
-			}
-			return interp.IntV(x.I % y.I)
-		case token.AND:
-			return interp.IntV(x.I & y.I)
-		case token.OR:
-			return interp.IntV(x.I | y.I)
-		case token.XOR:
-			return interp.IntV(x.I ^ y.I)
-		case token.SHL:
-			return interp.IntV(x.I << uint(y.I&63))
-		case token.SHR:
-			return interp.IntV(x.I >> uint(y.I&63))
-		case token.LSS:
-			return interp.BoolV(x.I < y.I)
-		case token.LEQ:
-			return interp.BoolV(x.I <= y.I)
-		case token.GTR:
-			return interp.BoolV(x.I > y.I)
-		case token.GEQ:
-			return interp.BoolV(x.I >= y.I)
-		case token.EQL:
-			return interp.BoolV(x.I == y.I)
-		case token.NEQ:
-			return interp.BoolV(x.I != y.I)
-		}
-	}
-	if x.K == interp.KFloat && y.K == interp.KFloat {
-		switch ex.Op {
-		case token.ADD:
-			return interp.FloatV(x.F + y.F)
-		case token.SUB:
-			return interp.FloatV(x.F - y.F)
-		case token.MUL:
-			return interp.FloatV(x.F * y.F)
-		case token.QUO:
-			return interp.FloatV(x.F / y.F)
-		case token.LSS:
-			return interp.BoolV(x.F < y.F)
-		case token.LEQ:
-			return interp.BoolV(x.F <= y.F)
-		case token.GTR:
-			return interp.BoolV(x.F > y.F)
-		case token.GEQ:
-			return interp.BoolV(x.F >= y.F)
-		case token.EQL:
-			return interp.BoolV(x.F == y.F)
-		case token.NEQ:
-			return interp.BoolV(x.F != y.F)
-		}
-	}
-	if x.K == interp.KBool && y.K == interp.KBool {
-		switch ex.Op {
-		case token.EQL:
-			return interp.BoolV(x.I == y.I)
-		case token.NEQ:
-			return interp.BoolV(x.I != y.I)
-		}
-	}
-	panic(&interp.RuntimeError{Msg: "invalid operands"})
-}
-
-func (p *par) evalCall(c *tctx, f *frame, ex *ast.CallExpr) interp.Value {
-	switch target := ex.Target.(type) {
-	case *sem.Builtin:
-		args := make([]interp.Value, len(ex.Args))
-		for i, a := range ex.Args {
-			args[i] = p.eval(c, f, a)
-		}
-		return p.builtin(c, ex, target, args)
-	case *ast.FuncDecl:
-		args := make([]interp.Value, len(ex.Args))
-		for i, a := range ex.Args {
-			args[i] = p.eval(c, f, a)
-		}
-		return p.call(c, target, args)
-	}
-	panic(&interp.RuntimeError{Msg: "unresolved call " + ex.Fun})
-}
-
-func (p *par) builtin(c *tctx, ex *ast.CallExpr, b *sem.Builtin, args []interp.Value) interp.Value {
-	switch b.ID() {
-	case sem.BLen:
-		if args[0].A == nil {
-			panic(&interp.RuntimeError{Msg: "len of nil array"})
-		}
-		return interp.IntV(int64(len(args[0].A.Elems)))
-	case sem.BPrint, sem.BPrintln:
-		p.yield(c, OpPrint, 0)
-		p.outMu.Lock()
-		for i, a := range args {
-			if i > 0 {
-				p.out.WriteByte(' ')
-			}
-			p.out.WriteString(a.String())
-		}
-		if b.ID() == sem.BPrintln {
-			p.out.WriteByte('\n')
-		}
-		p.outMu.Unlock()
-		return interp.VoidV()
-	case sem.BIntConv:
-		if args[0].K == interp.KFloat {
-			return interp.IntV(int64(args[0].F))
-		}
-		return args[0]
-	case sem.BFloatConv:
-		if args[0].K == interp.KInt {
-			return interp.FloatV(float64(args[0].I))
-		}
-		return args[0]
-	case sem.BSqrt:
-		return interp.FloatV(math.Sqrt(args[0].F))
-	case sem.BSin:
-		return interp.FloatV(math.Sin(args[0].F))
-	case sem.BCos:
-		return interp.FloatV(math.Cos(args[0].F))
-	case sem.BPow:
-		return interp.FloatV(math.Pow(args[0].F, args[1].F))
-	case sem.BExp:
-		return interp.FloatV(math.Exp(args[0].F))
-	case sem.BLog:
-		return interp.FloatV(math.Log(args[0].F))
-	case sem.BFloor:
-		return interp.FloatV(math.Floor(args[0].F))
-	case sem.BAbs:
-		if args[0].K == interp.KInt {
-			if args[0].I < 0 {
-				return interp.IntV(-args[0].I)
-			}
-			return args[0]
-		}
-		return interp.FloatV(math.Abs(args[0].F))
-	}
-	panic(&interp.RuntimeError{Msg: "unknown builtin " + ex.Fun})
 }

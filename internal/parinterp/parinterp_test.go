@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"finishrepair/internal/adversary"
 	"finishrepair/internal/interp"
 	"finishrepair/internal/lang/ast"
 	"finishrepair/internal/lang/parser"
@@ -39,18 +40,36 @@ func TestMatchesSequentialOnSynchronizedPrograms(t *testing.T) {
 	}
 }
 
+// TestRuntimeErrorsPropagate runs each faulting program free-running
+// and in controlled mode (under the depth-first schedule); both must
+// fail with the expected error. A shift count outside [0, 63] must fail
+// exactly as the sequential interpreter does, position included.
 func TestRuntimeErrorsPropagate(t *testing.T) {
 	cases := []struct{ src, want string }{
 		{`func main() { finish { async { var a = make([]int, 1); a[5] = 1; } } }`, "out of range"},
 		{`func main() { var x = 1 / 0; println(x); }`, "division by zero"},
 		{`func main() { var a []int; a[0] = 1; }`, "out of range"},
+		{"var s int = 70;\nfunc main() { var x int = 1; println(x << s); }", "runtime error: shift count 70 out of range at 2:40"},
+		{"var s int = -1;\nfunc main() { var x int = 1; println(x >> s); }", "runtime error: shift count -1 out of range at 2:40"},
 	}
 	for _, c := range cases {
-		prog := parser.MustParse(c.src)
-		info := sem.MustCheck(prog)
+		info := sem.MustCheck(parser.MustParse(c.src))
 		_, err := parinterp.Run(info, parinterp.Options{})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want containing %q", c.src, err, c.want)
+		}
+		out, err := adversary.Run(info, adversary.Schedule{Policy: adversary.DepthFirst}, adversary.RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: controlled run: %v", c.src, err)
+		}
+		if out.Err == nil || !strings.Contains(out.Err.Error(), c.want) {
+			t.Errorf("%s: controlled err = %v, want containing %q", c.src, out.Err, c.want)
+		}
+		if strings.HasPrefix(c.want, "runtime error: shift") {
+			_, seqErr := interp.Run(info, interp.Options{Mode: interp.Elide})
+			if seqErr == nil || seqErr.Error() != c.want {
+				t.Errorf("%s: sequential err = %v, want %q", c.src, seqErr, c.want)
+			}
 		}
 	}
 }
