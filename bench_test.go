@@ -45,7 +45,7 @@ func BenchmarkTable2_Detection(b *testing.B) {
 			info := sem.MustCheck(prog)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle()); err != nil {
+				if _, _, _, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -84,7 +84,7 @@ func BenchmarkTable3_SRWDetection(b *testing.B) {
 			info := sem.MustCheck(prog)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := race.Detect(info, race.VariantSRW, race.NewBagsOracle()); err != nil {
+				if _, _, _, err := race.Detect(info, race.VariantSRW, race.NewBagsOracle()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -323,7 +323,7 @@ func BenchmarkOracle(b *testing.B) {
 			info := sem.MustCheck(prog)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := race.Detect(info, race.VariantMRW, mk()); err != nil {
+				if _, _, _, err := race.Detect(info, race.VariantMRW, mk()); err != nil {
 					b.Fatal(err)
 				}
 			}

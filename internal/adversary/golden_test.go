@@ -79,7 +79,7 @@ func parseGolden(src string, strip bool) *ast.Program {
 func goldenSchedules(t *testing.T, prog *ast.Program) []Schedule {
 	t.Helper()
 	info := sem.MustCheck(prog)
-	_, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+	_, _, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 	if err != nil {
 		t.Fatalf("detect: %v", err)
 	}

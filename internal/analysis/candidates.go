@@ -107,11 +107,9 @@ func (r *Result) Candidates() []Candidate { return r.cands }
 
 // stmtSetOf maps a (resolved) S-DPST node to the set of statement IDs
 // whose execution the node may represent: the union of all() over the
-// statements the node's static coordinates cover. Loop-header
-// pseudo-steps (StmtLo == -1) and other nodes without usable
-// coordinates climb to the nearest ancestor carrying an AST statement.
-// ok is false when no mapping exists; callers must then be
-// conservative.
+// statements the node's static coordinates cover. ok is false for
+// loop-header pseudo-steps (StmtLo == -1) and other nodes without usable
+// coordinates; callers must then be conservative.
 func (r *Result) stmtSetOf(n *dpst.Node) (bitset, bool) {
 	if n == nil {
 		return nil, false
@@ -127,14 +125,6 @@ func (r *Result) stmtSetOf(n *dpst.Node) (bitset, bool) {
 			set.or(r.all[id])
 		}
 		return set, true
-	}
-	for a := n; a != nil; a = a.Parent {
-		if a.Stmt != nil {
-			if id, ok := r.byStmt[a.Stmt]; ok {
-				return r.all[id], true
-			}
-			return nil, false
-		}
 	}
 	return nil, false
 }

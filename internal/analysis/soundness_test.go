@@ -79,7 +79,7 @@ func TestStaticCoversDynamic(t *testing.T) {
 			}
 			res := analysis.Analyze(info, nil)
 
-			_, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+			_, _, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 			if err != nil {
 				t.Fatalf("detect: %v", err)
 			}

@@ -27,7 +27,7 @@ func TestOriginalsAreRaceFree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("check: %v", err)
 			}
-			res, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+			_, tree, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -40,7 +40,7 @@ func TestOriginalsAreRaceFree(t *testing.T) {
 				}
 				t.Fatalf("%d races in expert-written %s", n, b.Name)
 			}
-			if err := res.Tree.Validate(); err != nil {
+			if err := tree.Validate(); err != nil {
 				t.Errorf("invalid S-DPST: %v", err)
 			}
 		})
@@ -185,7 +185,7 @@ func TestRepairedSourceRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("repaired source invalid: %v\n%s", err, src)
 			}
-			_, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+			_, _, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 			if err != nil {
 				t.Fatal(err)
 			}

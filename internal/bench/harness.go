@@ -231,20 +231,18 @@ func RunRepair(b *Benchmark, variant race.Variant, size int) (*RepairStats, erro
 	if err != nil {
 		return nil, err
 	}
-	origRes, err := interp.Run(origInfo, interp.Options{Mode: interp.DepthFirst, Instrument: true})
+	om, err := modelMetrics(origInfo)
 	if err != nil {
 		return nil, fmt.Errorf("%s original instrumented run: %w", b.Name, err)
 	}
-	om := cpl.Analyze(origRes.Tree)
 	repInfo, err := sem.Check(buggy)
 	if err != nil {
 		return nil, err
 	}
-	repRes, err := interp.Run(repInfo, interp.Options{Mode: interp.DepthFirst, Instrument: true})
+	rm, err := modelMetrics(repInfo)
 	if err != nil {
 		return nil, fmt.Errorf("%s repaired instrumented run: %w", b.Name, err)
 	}
-	rm := cpl.Analyze(repRes.Tree)
 	st.SpanOriginal, st.SpanRepaired = om.Span, rm.Span
 	st.WorkOriginal, st.WorkRepaired = om.Work, rm.Work
 	st.Metrics = obs.Default().Delta(before)
@@ -392,16 +390,14 @@ func RunPerf(b *Benchmark, size, runs int) (*PerfStats, error) {
 	return ps, nil
 }
 
-// modelMetrics runs the instrumented canonical execution (no detector)
-// and returns the work/span metrics.
+// modelMetrics captures the canonical execution, replays it into its
+// S-DPST (no detector) and returns the work/span metrics.
 func modelMetrics(info *sem.Info) (cpl.Metrics, error) {
-	res, err := interp.Run(info, interp.Options{
-		Mode: interp.DepthFirst, Instrument: true,
-	})
+	tree, err := race.Tree(info)
 	if err != nil {
 		return cpl.Metrics{}, err
 	}
-	return cpl.Analyze(res.Tree), nil
+	return cpl.Analyze(tree), nil
 }
 
 func timeRuns(runs int, f func() error) (mean, ci95 time.Duration, err error) {

@@ -13,6 +13,7 @@ import (
 	"finishrepair/internal/interp"
 	"finishrepair/internal/lang/ast"
 	"finishrepair/internal/lang/sem"
+	"finishrepair/internal/trace"
 )
 
 // Coverage summarizes how much of the program one test input exercised.
@@ -52,23 +53,20 @@ func (c Coverage) String() string {
 // races the repair cannot see).
 func (c Coverage) Adequate() bool { return c.AsyncsRun == c.Asyncs }
 
-// Measure runs the canonical instrumented execution and computes the
-// coverage of the program under its built-in input.
+// Measure records the canonical execution's event trace and computes
+// the coverage of the program under its built-in input. A statement is
+// covered when the trace has a step boundary at it or opens a construct
+// at it. The events are read directly rather than through a replayed
+// S-DPST, whose step ranges can miss a statement (DESIGN.md §8).
 func Measure(info *sem.Info) (Coverage, error) {
-	// NoCollapse: maximal-step collapsing folds executed scopes into
-	// coarse steps and would destroy coverage granularity.
-	res, err := interp.Run(info, interp.Options{
-		Mode:       interp.DepthFirst,
-		Instrument: true,
-		NoCollapse: true,
-	})
-	if err != nil {
+	rec := trace.NewRecorder()
+	if _, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Trace: rec}); err != nil {
 		return Coverage{}, err
 	}
-	return fromTree(info.Prog, res.Tree), nil
+	return fromTrace(info.Prog, rec.Trace()), nil
 }
 
-func fromTree(prog *ast.Program, tree *dpst.Tree) Coverage {
+func fromTrace(prog *ast.Program, tr *trace.Trace) Coverage {
 	var c Coverage
 
 	// Static totals.
@@ -84,47 +82,42 @@ func fromTree(prog *ast.Program, tree *dpst.Tree) Coverage {
 	})
 	c.Asyncs = len(asyncSet)
 	c.Finishes = len(finishSet)
-	blockStmts := 0
+	blocks := map[int32]*ast.Block{}
 	for _, b := range ast.Blocks(prog) {
-		blockStmts += len(b.Stmts)
+		blocks[int32(b.ID)] = b
+		c.Stmts += len(b.Stmts)
 	}
-	c.Stmts = blockStmts
 	c.Funcs = len(prog.Funcs)
 
-	// Dynamic marks from the S-DPST.
+	// Dynamic marks from step boundaries and construct pushes.
 	type slot struct {
-		block int
-		idx   int
+		block, idx int32
 	}
 	covered := map[slot]bool{}
 	funcsRun := map[*ast.Block]bool{}
-	tree.Walk(func(n *dpst.Node) {
-		if n.Stmt != nil {
-			switch n.Stmt.(type) {
-			case *ast.AsyncStmt:
-				asyncSet[n.Stmt] = true
-			case *ast.FinishStmt:
-				finishSet[n.Stmt] = true
+	tr.Events(func(_ int, e *trace.Event) bool {
+		k := trace.Kind(e.Kind)
+		if k != trace.EvStep && k != trace.EvPush {
+			return true
+		}
+		push := k == trace.EvPush
+		if push && dpst.Kind(e.NKind) == dpst.Scope && dpst.ScopeClass(e.Class) == dpst.CallScope {
+			funcsRun[blocks[e.Body]] = true
+		}
+		b := blocks[e.Block]
+		if b == nil || e.Stmt < 0 || int(e.Stmt) >= len(b.Stmts) {
+			return true
+		}
+		covered[slot{e.Block, e.Stmt}] = true
+		if push {
+			switch dpst.Kind(e.NKind) {
+			case dpst.Async:
+				asyncSet[b.Stmts[e.Stmt]] = true
+			case dpst.Finish:
+				finishSet[b.Stmts[e.Stmt]] = true
 			}
 		}
-		if n.Kind == dpst.Scope && n.Class == dpst.CallScope && n.Body != nil {
-			funcsRun[n.Body] = true
-		}
-		if n.OwnerBlock != nil && n.StmtHi >= 0 {
-			// A range starting at the loop-header pseudo-index (-1)
-			// still covers the real statements it extended into.
-			lo := n.StmtLo
-			if lo < 0 {
-				lo = 0
-			}
-			hi := n.StmtHi
-			if hi >= len(n.OwnerBlock.Stmts) {
-				hi = len(n.OwnerBlock.Stmts) - 1
-			}
-			for i := lo; i <= hi; i++ {
-				covered[slot{n.OwnerBlock.ID, i}] = true
-			}
-		}
+		return true
 	})
 	for _, run := range asyncSet {
 		if run {

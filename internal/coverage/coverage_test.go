@@ -1,6 +1,7 @@
 package coverage_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -55,6 +56,22 @@ func main() {
 	}
 	if !strings.Contains(c.String(), "asyncs 0/2") {
 		t.Errorf("String() = %q", c.String())
+	}
+}
+
+// Statements inside isolated bodies, nested ones included, count toward
+// the totals and are covered when they run.
+func TestIsolatedBodiesCovered(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/vet/redundant_isolated.hj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := measure(t, string(src))
+	if c.Stmts != 12 || c.StmtsRun != 12 {
+		t.Errorf("statements %d/%d, want 12/12: %v", c.StmtsRun, c.Stmts, c)
+	}
+	if c.Asyncs != 2 || c.AsyncsRun != 2 || c.Finishes != 1 || c.FinishesRun != 1 {
+		t.Errorf("got %v", c)
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 
 	"finishrepair/internal/cpl"
 	"finishrepair/internal/dpst"
-	"finishrepair/internal/interp"
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/progen"
+	"finishrepair/internal/race"
 )
 
 func step(t *dpst.Tree, parent *dpst.Node, w int64) *dpst.Node {
@@ -102,11 +102,11 @@ func TestSpanBounds(t *testing.T) {
 	for seed := int64(500); seed < 530; seed++ {
 		prog := parser.MustParse(progen.Gen(seed, progen.Default()))
 		info := sem.MustCheck(prog)
-		res, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Instrument: true})
+		tree, err := race.Tree(info)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := cpl.Analyze(res.Tree)
+		m := cpl.Analyze(tree)
 		if m.Span > m.Work {
 			t.Fatalf("seed %d: span %d > work %d", seed, m.Span, m.Work)
 		}
@@ -132,11 +132,11 @@ func main() {
 	spanOf := func(s string) int64 {
 		prog := parser.MustParse(s)
 		info := sem.MustCheck(prog)
-		res, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Instrument: true})
+		tree, err := race.Tree(info)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cpl.Analyze(res.Tree).Span
+		return cpl.Analyze(tree).Span
 	}
 	withFinish := spanOf(src)
 	prog := parser.MustParse(src)

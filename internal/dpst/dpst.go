@@ -83,11 +83,6 @@ type Node struct {
 	// bodies, branch block for if scopes, loop body for iteration scopes).
 	Body *ast.Block
 
-	// Stmt is the AST statement that created the node, when there is one
-	// (the AsyncStmt, FinishStmt, IfStmt, loop statement, or call
-	// statement). Nil for steps and the root.
-	Stmt ast.Stmt
-
 	// Work is the node's own cost in abstract work units (nonzero only
 	// for steps); SubtreeWork aggregates the whole subtree and is filled
 	// in by Tree.AggregateWork. IsoWork is the portion of Work performed

@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"finishrepair/internal/dpst"
-	"finishrepair/internal/interp"
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/progen"
+	"finishrepair/internal/race"
 )
 
 // build constructs a small tree by hand:
@@ -184,22 +184,22 @@ func TestDumpAndDOT(t *testing.T) {
 	}
 }
 
-// Property: on generated programs, trees built by the instrumented
-// interpreter always validate, and DFS IDs strictly increase left to
+// Property: on generated programs, trees replayed from the capture
+// always validate, and DFS IDs strictly increase left to
 // right.
 func TestGeneratedTreesValidate(t *testing.T) {
 	for seed := int64(200); seed < 230; seed++ {
 		prog := parser.MustParse(progen.Gen(seed, progen.Default()))
 		info := sem.MustCheck(prog)
-		res, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Instrument: true})
+		tree, err := race.Tree(info)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := res.Tree.Validate(); err != nil {
+		if err := tree.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		// Leaves are steps; interior nodes are not.
-		res.Tree.Walk(func(n *dpst.Node) {
+		tree.Walk(func(n *dpst.Node) {
 			if n.Kind == dpst.Step && len(n.Children) > 0 {
 				t.Fatalf("seed %d: step %v has children", seed, n)
 			}

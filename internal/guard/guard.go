@@ -69,7 +69,7 @@ type Budget struct {
 	// the repair degrades to the coarse sound placement instead of
 	// failing (see internal/repair).
 	MaxDPStates int64
-	// MaxSDPSTNodes bounds the S-DPST size of one instrumented execution
+	// MaxSDPSTNodes bounds the size of each S-DPST trace replay builds
 	// (0 = unlimited).
 	MaxSDPSTNodes int64
 	// MaxIterations bounds repair detect/place/rewrite rounds
@@ -378,8 +378,8 @@ func (m *Meter) DPStates() int64 {
 	return m.dpStates.Load()
 }
 
-// NodeBudgetError builds the S-DPST node-budget error; the interpreter
-// calls it when its per-run node count passes MaxSDPSTNodes.
+// NodeBudgetError builds the S-DPST node-budget error; trace replay
+// calls it when the nodes it has built pass MaxSDPSTNodes.
 func (m *Meter) NodeBudgetError(used int64) error {
 	mBudgetTrips.Inc()
 	return &BudgetExceededError{Resource: ResourceSDPSTNodes, Phase: m.CurrentPhase(), Limit: m.MaxSDPSTNodes(), Used: used}

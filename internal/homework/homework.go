@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"finishrepair/internal/cpl"
-	"finishrepair/internal/interp"
 	"finishrepair/internal/lang/ast"
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/printer"
@@ -231,11 +230,11 @@ func ToolRepair() (span int64, normalizedSrc string, err error) {
 	if err != nil {
 		return 0, "", err
 	}
-	res, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Instrument: true})
+	tree, err := race.Tree(info)
 	if err != nil {
 		return 0, "", err
 	}
-	m := cpl.Analyze(res.Tree)
+	m := cpl.Analyze(tree)
 	return m.Span, normalize(printer.Print(prog)), nil
 }
 
@@ -262,7 +261,7 @@ func Grade(sub Submission, toolSpan int64, toolSrc string) (*GradeResult, error)
 	if err != nil {
 		return nil, fmt.Errorf("submission %d: %w", sub.ID, err)
 	}
-	res, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+	_, tree, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 	if err != nil {
 		return nil, fmt.Errorf("submission %d: %w", sub.ID, err)
 	}
@@ -271,7 +270,7 @@ func Grade(sub Submission, toolSpan int64, toolSrc string) (*GradeResult, error)
 		gr.Verdict = Racy
 		return gr, nil
 	}
-	gr.Span = cpl.Analyze(res.Tree).Span
+	gr.Span = cpl.Analyze(tree).Span
 	if normalize(sub.Source) == toolSrc {
 		gr.Verdict = Matches
 	} else {

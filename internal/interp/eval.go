@@ -48,7 +48,7 @@ func (in *interp) eval(f *frame, e ast.Expr) Value {
 		for i := range a.Elems {
 			a.Elems[i] = z
 		}
-		if in.opts.Instrument {
+		if in.ev != nil {
 			a.Base = in.nextLoc
 			in.nextLoc += uint64(n.I)
 		}

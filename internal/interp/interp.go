@@ -27,34 +27,26 @@ const (
 // Options configures a run.
 type Options struct {
 	Mode Mode
-	// Instrument enables S-DPST construction and access instrumentation.
-	Instrument bool
-	// Trace, when set, captures the event-trace IR of this run: structure
-	// events, step boundaries, and memory accesses stream into the
-	// recorder so analyses can replay the execution without re-running
-	// it. Requires Instrument and the DepthFirst mode.
+	// Trace, when set, instruments the run: structure events, step
+	// boundaries, and memory accesses stream into the recorder, and
+	// arrays get location numbers, so analyses can replay the execution
+	// without re-running it (trace.Replay builds its S-DPST). Requires
+	// the DepthFirst mode.
 	Trace *trace.Recorder
 	// OpLimit bounds this run's work units; 0 means the shared default
 	// (guard.DefaultOpLimit), so sequential, instrumented, and parallel
 	// runs all agree on one bound.
 	OpLimit int64
 	// Meter, when set, threads the pipeline's shared budget through the
-	// hot loop: cumulative op accounting, periodic cancellation/deadline
-	// checks, and the S-DPST node bound. Nil costs one pointer test.
+	// hot loop: cumulative op accounting and periodic
+	// cancellation/deadline checks. Nil costs one pointer test.
 	Meter *guard.Meter
-	// NoCollapse disables maximal-step collapsing of task-free scope
-	// subtrees (the paper's §9 "garbage collection of parts of the
-	// S-DPST that do not exhibit race conditions", realized eagerly).
-	// Used only for the ablation study; production runs collapse.
-	NoCollapse bool
 }
 
 // Result summarizes a run.
 type Result struct {
-	Tree   *dpst.Tree // nil unless instrumented
 	Output string
 	Work   int64 // total work units executed
-	Steps  int   // number of step nodes (instrumented runs)
 	// Globals is the final value of every global variable slot, in slot
 	// order. The adversarial scheduler compares it (rendered via
 	// RenderState) against controlled-schedule runs: two executions agree
@@ -66,22 +58,19 @@ type Result struct {
 // faults are returned as *RuntimeError.
 func Run(info *sem.Info, opts Options) (*Result, error) {
 	in := &interp{
-		info:      info,
-		opts:      opts,
-		ev:        opts.Trace,
-		opLimit:   opts.OpLimit,
-		meter:     opts.Meter,
-		nodeLimit: opts.Meter.MaxSDPSTNodes(),
+		info:    info,
+		opts:    opts,
+		ev:      opts.Trace,
+		opLimit: opts.OpLimit,
+		meter:   opts.Meter,
 	}
-	if in.ev != nil && (!opts.Instrument || opts.Mode != DepthFirst) {
-		return nil, &RuntimeError{Msg: "trace capture requires the instrumented depth-first mode"}
+	if in.ev != nil && opts.Mode != DepthFirst {
+		return nil, &RuntimeError{Msg: "trace capture requires the depth-first mode"}
 	}
 	if in.opLimit == 0 {
 		in.opLimit = guard.DefaultOpLimit
 	}
-	if opts.Instrument {
-		in.tree = dpst.NewTree()
-		in.curNode = in.tree.Root
+	if in.ev != nil {
 		in.nextLoc = 1 + uint64(info.GlobalCount)
 	}
 	in.globals = make([]Value, info.GlobalCount)
@@ -118,12 +107,7 @@ func Run(info *sem.Info, opts Options) (*Result, error) {
 		in.sinceMeter = 0
 	}
 
-	if opts.Instrument {
-		in.endStep()
-		in.tree.AggregateWork()
-		res.Tree = in.tree
-		res.Steps = in.steps
-	}
+	in.endStep()
 	res.Output = in.out.String()
 	res.Work = in.work
 	res.Globals = in.globals
@@ -143,22 +127,17 @@ type interp struct {
 	work    int64
 	opLimit int64
 
-	// Event-trace capture (nil = off).
-	ev *trace.Recorder
+	// Event-trace capture (nil = off). stepOpen is set between a step
+	// boundary and the end of that step; only then is work charged to
+	// the recorder.
+	ev       *trace.Recorder
+	stepOpen bool
+	nextLoc  uint64
 
 	// Shared pipeline budget (nil = unlimited); sinceMeter batches the
 	// meter calls so the hot loop stays one increment and two compares.
 	meter      *guard.Meter
 	sinceMeter int64
-	nodeLimit  int64 // S-DPST node budget (0 = unlimited)
-	nodes      int64 // nodes created this run
-
-	// Instrumentation state.
-	tree    *dpst.Tree
-	curNode *dpst.Node // innermost interior node
-	curStep *dpst.Node
-	nextLoc uint64
-	steps   int
 
 	// Innermost statement coordinates, for call scopes opened
 	// mid-expression.
@@ -193,112 +172,53 @@ func (in *interp) tick() {
 			}
 		}
 	}
-	if in.curStep != nil {
-		in.curStep.Work++
-		if in.ev != nil {
-			in.ev.AddWork(1)
-		}
+	if in.stepOpen {
+		in.ev.AddWork(1)
 	}
 }
 
-// noteNode charges one S-DPST node against the node budget.
-func (in *interp) noteNode() {
-	in.nodes++
-	if in.nodeLimit > 0 && in.nodes > in.nodeLimit {
-		panic(guard.Bail{Err: in.meter.NodeBudgetError(in.nodes)})
-	}
-}
-
-// ensureStep makes sure a current step exists covering statement idx of
-// block b, extending the trailing step when possible. It also records
-// the statement site so that steps can be re-established after an
-// interior node (e.g. a call scope) ends mid-statement.
+// ensureStep records a step boundary at statement idx of block b (replay
+// opens a step there or extends the trailing one). It also records the
+// statement site so that a step can be reopened after an interior node
+// (e.g. a call scope) ends mid-statement.
 func (in *interp) ensureStep(b *ast.Block, idx int) {
-	if !in.opts.Instrument {
+	if in.ev == nil {
 		return
 	}
 	in.siteBlock, in.siteIdx = b, idx
-	if in.ev != nil {
-		in.ev.Step(b, idx)
-	}
-	if in.curStep == nil {
-		// Maximal steps: when the previous construct collapsed into a
-		// trailing step of the same block, extend it instead of starting
-		// a new one.
-		if k := len(in.curNode.Children); k > 0 {
-			last := in.curNode.Children[k-1]
-			if last.Kind == dpst.Step && last.OwnerBlock == b {
-				in.curStep = last
-			}
-		}
-	}
-	if in.curStep != nil {
-		if idx >= 0 {
-			if idx > in.curStep.StmtHi {
-				in.curStep.StmtHi = idx
-			}
-			if in.curStep.StmtLo == -2 {
-				in.curStep.StmtLo = idx
-			}
-		}
-		return
-	}
-	in.noteNode()
-	s := in.tree.NewChild(in.curNode, dpst.Step, dpst.NotScope, "")
-	s.OwnerBlock = b
-	s.StmtLo, s.StmtHi = idx, idx
-	in.curStep = s
-	in.steps++
+	in.ev.Step(b, idx)
+	in.stepOpen = true
 }
 
 func (in *interp) endStep() {
-	if in.curStep != nil && in.ev != nil {
+	if in.stepOpen {
 		in.ev.End()
+		in.stepOpen = false
 	}
-	in.curStep = nil
 }
 
-// pushNode opens an interior S-DPST node for the construct at statement
-// idx of block owner, whose children instantiate body.
-func (in *interp) pushNode(kind dpst.Kind, class dpst.ScopeClass, label string, stmt ast.Stmt, owner *ast.Block, idx int, body *ast.Block) *dpst.Node {
-	if !in.opts.Instrument {
-		return nil
-	}
-	in.endStep()
-	in.noteNode()
-	n := in.tree.NewChild(in.curNode, kind, class, label)
-	n.OwnerBlock = owner
-	n.StmtLo, n.StmtHi = idx, idx
-	n.Body = body
-	n.Stmt = stmt
-	in.curNode = n
-	if in.ev != nil {
-		in.ev.Push(uint8(kind), uint8(class), label, owner, idx, body)
-	}
-	return n
-}
-
-func (in *interp) popNode() {
-	if !in.opts.Instrument {
+// pushNode records the opening of an interior S-DPST node for the
+// construct at statement idx of block owner, whose children instantiate
+// body.
+func (in *interp) pushNode(kind dpst.Kind, class dpst.ScopeClass, label string, owner *ast.Block, idx int, body *ast.Block) {
+	if in.ev == nil {
 		return
 	}
 	in.endStep()
-	if in.ev != nil {
-		in.ev.Pop()
+	in.ev.Push(uint8(kind), uint8(class), label, owner, idx, body)
+}
+
+func (in *interp) popNode() {
+	if in.ev == nil {
+		return
 	}
-	closing := in.curNode
-	in.curNode = in.curNode.Parent
-	// Maximal steps: a scope whose subtree spawned no tasks is just
-	// sequential work — fold it into a step (and into the preceding
-	// step, when adjacent).
-	if !in.opts.NoCollapse {
-		in.tree.CollapseScope(closing)
-	}
+	in.endStep()
+	in.ev.Pop()
 }
 
 func (in *interp) readLoc(loc uint64) {
 	if in.ev != nil && loc != 0 {
-		if in.curStep == nil {
+		if !in.stepOpen {
 			// A call scope ended mid-statement; resume a step at the
 			// recorded statement site.
 			in.ensureStep(in.siteBlock, in.siteIdx)
@@ -309,7 +229,7 @@ func (in *interp) readLoc(loc uint64) {
 
 func (in *interp) writeLoc(loc uint64) {
 	if in.ev != nil && loc != 0 {
-		if in.curStep == nil {
+		if !in.stepOpen {
 			in.ensureStep(in.siteBlock, in.siteIdx)
 		}
 		in.ev.Write(loc)
@@ -390,13 +310,13 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 		in.setCallSite(b, idx)
 		cond := in.eval(f, st.Cond)
 		if cond.Bool() {
-			in.pushNode(dpst.Scope, dpst.IfScope, "if", st, b, idx, st.Then)
+			in.pushNode(dpst.Scope, dpst.IfScope, "if", b, idx, st.Then)
 			c := in.execBlock(f, st.Then)
 			in.popNode()
 			return c
 		}
 		if st.Else != nil {
-			in.pushNode(dpst.Scope, dpst.ElseScope, "else", st, b, idx, st.Else)
+			in.pushNode(dpst.Scope, dpst.ElseScope, "else", b, idx, st.Else)
 			c := in.execBlock(f, st.Else)
 			in.popNode()
 			return c
@@ -406,9 +326,9 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 	case *ast.WhileStmt:
 		in.ensureStep(b, idx)
 		in.tick()
-		in.pushNode(dpst.Scope, dpst.LoopScope, "while", st, b, idx, st.Body)
+		in.pushNode(dpst.Scope, dpst.LoopScope, "while", b, idx, st.Body)
 		for {
-			in.pushNode(dpst.Scope, dpst.LoopIter, "iter", st, st.Body, -1, st.Body)
+			in.pushNode(dpst.Scope, dpst.LoopIter, "iter", st.Body, -1, st.Body)
 			in.ensureStep(st.Body, -1)
 			in.setCallSite(st.Body, -1)
 			cond := in.eval(f, st.Cond)
@@ -430,7 +350,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 	case *ast.ForStmt:
 		in.ensureStep(b, idx)
 		in.tick()
-		in.pushNode(dpst.Scope, dpst.LoopScope, "for", st, b, idx, st.Body)
+		in.pushNode(dpst.Scope, dpst.LoopScope, "for", b, idx, st.Body)
 		if st.Init != nil {
 			// The init statement is charged to a header pseudo-step of
 			// the loop scope.
@@ -441,7 +361,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 			in.endStep()
 		}
 		for {
-			in.pushNode(dpst.Scope, dpst.LoopIter, "iter", st, st.Body, -1, st.Body)
+			in.pushNode(dpst.Scope, dpst.LoopIter, "iter", st.Body, -1, st.Body)
 			if st.Cond != nil {
 				in.ensureStep(st.Body, -1)
 				in.setCallSite(st.Body, -1)
@@ -478,7 +398,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 		}
 		in.ensureStep(b, idx)
 		in.tick()
-		in.pushNode(dpst.Async, dpst.NotScope, "async", st, b, idx, st.Body)
+		in.pushNode(dpst.Async, dpst.NotScope, "async", b, idx, st.Body)
 		if in.opts.Mode == Elide {
 			c := in.execBlock(f, st.Body)
 			in.popNode()
@@ -500,7 +420,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 		if in.isoDepth > 0 {
 			throwf("finish not allowed inside isolated at %s", st.FinishPos)
 		}
-		in.pushNode(dpst.Finish, dpst.NotScope, "finish", st, b, idx, st.Body)
+		in.pushNode(dpst.Finish, dpst.NotScope, "finish", b, idx, st.Body)
 		c := in.execBlock(f, st.Body)
 		in.popNode()
 		return c
@@ -511,9 +431,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 		// Serially the body just runs inline; the IsoScope class marks the
 		// region so collapse attributes its work as serialized IsoWork.
 		in.isoDepth++
-		if n := in.pushNode(dpst.Scope, dpst.IsoScope, "isolated", st, b, idx, st.Body); n != nil {
-			n.IsoClass = st.LockClass
-		}
+		in.pushNode(dpst.Scope, dpst.IsoScope, "isolated", b, idx, st.Body)
 		c := in.execBlock(f, st.Body)
 		in.popNode()
 		in.isoDepth--
@@ -522,7 +440,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 	case *ast.BlockStmt:
 		in.ensureStep(b, idx)
 		in.tick()
-		in.pushNode(dpst.Scope, dpst.BlockScope, "block", st, b, idx, st.Body)
+		in.pushNode(dpst.Scope, dpst.BlockScope, "block", b, idx, st.Body)
 		c := in.execBlock(f, st.Body)
 		in.popNode()
 		return c
@@ -643,7 +561,7 @@ func (in *interp) setCallSite(b *ast.Block, idx int) {
 }
 
 func (in *interp) callFunc(fn *ast.FuncDecl, args []Value, siteBlock *ast.Block, siteIdx int) Value {
-	in.pushNode(dpst.Scope, dpst.CallScope, fn.Name, nil, siteBlock, siteIdx, fn.Body)
+	in.pushNode(dpst.Scope, dpst.CallScope, fn.Name, siteBlock, siteIdx, fn.Body)
 	nf := &frame{slots: make([]Value, in.info.FrameSize[fn])}
 	copy(nf.slots, args)
 	c := in.execBlock(nf, fn.Body)

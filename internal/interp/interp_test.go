@@ -8,6 +8,7 @@ import (
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/progen"
+	"finishrepair/internal/trace"
 )
 
 func run(t *testing.T, src string, mode interp.Mode) string {
@@ -249,7 +250,8 @@ func TestElisionEqualsDepthFirst(t *testing.T) {
 	}
 }
 
-// Instrumentation must not change program semantics.
+// Instrumentation must not change program semantics: a recorded run
+// has the output, work and final globals of a plain one.
 func TestInstrumentationTransparent(t *testing.T) {
 	for seed := int64(400); seed < 420; seed++ {
 		src := progen.Gen(seed, progen.Default())
@@ -259,7 +261,7 @@ func TestInstrumentationTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		instr, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Instrument: true})
+		instr, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Trace: trace.NewRecorder()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,6 +270,9 @@ func TestInstrumentationTransparent(t *testing.T) {
 		}
 		if plain.Work != instr.Work {
 			t.Fatalf("seed %d: instrumented work %d != %d", seed, instr.Work, plain.Work)
+		}
+		if a, b := interp.RenderState(info, plain.Globals), interp.RenderState(info, instr.Globals); a != b {
+			t.Fatalf("seed %d: instrumented globals differ:\n%s\nvs\n%s", seed, b, a)
 		}
 	}
 }

@@ -70,6 +70,30 @@ func TestBlocksAndFindBlock(t *testing.T) {
 	if ast.FindBlock(prog, 1<<30) != nil {
 		t.Error("FindBlock on unknown ID should be nil")
 	}
+
+	// Blocks descends into isolated bodies, nested ones included.
+	iso := parser.MustParse(`
+var x = 0;
+func main() {
+    async { isolated { x = x + 1; if (x > 0) { isolated { x = 2; } } } }
+}`)
+	var bodies []*ast.Block
+	ast.Inspect(iso, func(s ast.Stmt) {
+		if is, ok := s.(*ast.IsolatedStmt); ok {
+			bodies = append(bodies, is.Body)
+		}
+	})
+	if len(bodies) != 2 {
+		t.Fatalf("found %d isolated statements, want 2", len(bodies))
+	}
+	if n := len(ast.Blocks(iso)); n != 5 {
+		t.Errorf("Blocks found %d blocks, want 5 (main, async, isolated, if, nested isolated)", n)
+	}
+	for _, b := range bodies {
+		if ast.FindBlock(iso, b.ID) != b {
+			t.Errorf("FindBlock(%d) misses an isolated body", b.ID)
+		}
+	}
 }
 
 func TestCounts(t *testing.T) {

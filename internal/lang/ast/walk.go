@@ -45,20 +45,8 @@ func Blocks(p *Program) []*Block {
 		}
 		out = append(out, b)
 		for _, s := range b.Stmts {
-			switch st := s.(type) {
-			case *IfStmt:
-				visit(st.Then)
-				visit(st.Else)
-			case *WhileStmt:
-				visit(st.Body)
-			case *ForStmt:
-				visit(st.Body)
-			case *AsyncStmt:
-				visit(st.Body)
-			case *FinishStmt:
-				visit(st.Body)
-			case *BlockStmt:
-				visit(st.Body)
+			for _, nb := range StmtBlocks(s) {
+				visit(nb)
 			}
 		}
 	}

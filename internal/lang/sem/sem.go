@@ -214,8 +214,40 @@ func (c *checker) checkFunc(fn *ast.FuncDecl) {
 	}
 	c.checkBlock(fn.Body, true)
 	c.pop()
+	if fn.Ret != nil && !terminates(fn.Body) {
+		c.errorf(fn.FuncPos, "missing return at end of function %s", fn.Name)
+	}
 	c.info.FrameSize[fn] = c.nextSlot
 	c.curFn = nil
+}
+
+// terminates reports whether control can never fall off the end of b:
+// its last statement is a return, an if/else whose branches both
+// terminate, a block, finish or isolated whose body terminates, or a
+// loop without exit (HJ-lite has no break): while (true) or a for with
+// no condition.
+func terminates(b *ast.Block) bool {
+	if b == nil || len(b.Stmts) == 0 {
+		return false
+	}
+	switch st := b.Stmts[len(b.Stmts)-1].(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.IfStmt:
+		return terminates(st.Then) && terminates(st.Else)
+	case *ast.BlockStmt:
+		return terminates(st.Body)
+	case *ast.FinishStmt:
+		return terminates(st.Body)
+	case *ast.IsolatedStmt:
+		return terminates(st.Body)
+	case *ast.WhileStmt:
+		lit, ok := st.Cond.(*ast.BoolLit)
+		return ok && lit.Value
+	case *ast.ForStmt:
+		return st.Cond == nil
+	}
+	return false
 }
 
 // checkBlock checks the statements of b. If newScope is true the block

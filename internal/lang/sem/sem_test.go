@@ -207,3 +207,38 @@ func TestTypesEqual(t *testing.T) {
 		}
 	}
 }
+
+// A non-void function must not fall off its end: the sequential
+// executor would fail on the missing value where the parallel one reads
+// zero, so the checker rejects the program up front.
+func TestMissingReturn(t *testing.T) {
+	src := `func f(n int) int { if (n > 0) { return n; } } func main() { println(f(0) + 1); }`
+	_, err := sem.Check(parser.MustParse(src))
+	if err == nil || err.Error() != "1:1: missing return at end of function f" {
+		t.Fatalf("error = %v, want %q", err, "1:1: missing return at end of function f")
+	}
+	for _, body := range []string{
+		`{ }`,
+		`{ var x = 1; }`,
+		`{ if (n > 0) { return 1; } }`,
+		`{ if (n > 0) { return 1; } else { n = 2; } }`,
+		`{ while (n > 0) { return 1; } }`,
+		`{ for (var i = 0; i < n; i = i + 1) { return 1; } }`,
+		`{ async { return 1; } }`,
+		`{ return 1; n = 2; }`,
+	} {
+		checkErr(t, "func f(n int) int "+body+" func main() { f(1); }", "missing return at end of function f")
+	}
+	for _, body := range []string{
+		`{ return 1; }`,
+		`{ if (n > 0) { return 1; } else if (n < 0) { return 2; } else { return 3; } }`,
+		`{ { n = 1; return n; } }`,
+		`{ finish { async { n = 1; } return n; } }`,
+		`{ isolated { return n; } }`,
+		`{ while (true) { n = n + 1; } }`,
+		`{ for (;;) { n = n + 1; } }`,
+	} {
+		checkErr(t, "func f(n int) int "+body+" func main() { f(1); }", "")
+	}
+	checkErr(t, `func f(n int) { if (n > 0) { return; } } func main() { f(1); }`, "")
+}

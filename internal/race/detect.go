@@ -3,6 +3,7 @@ package race
 import (
 	"time"
 
+	"finishrepair/internal/dpst"
 	"finishrepair/internal/faults"
 	"finishrepair/internal/guard"
 	"finishrepair/internal/interp"
@@ -70,17 +71,28 @@ func Capture(info *sem.Info, m *guard.Meter) (*interp.Result, *trace.Trace, erro
 		return nil, nil, err
 	}
 	rec := trace.NewRecorder()
-	res, err := interp.Run(info, interp.Options{
-		Mode:       interp.DepthFirst,
-		Instrument: true,
-		Trace:      rec,
-		Meter:      m,
-	})
+	res, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Trace: rec, Meter: m})
 	if err != nil {
 		return res, nil, err
 	}
 	mTraceCaptures.Inc()
 	return res, rec.Trace(), nil
+}
+
+// Tree runs the canonical sequential depth-first execution of the
+// checked program and replays it into its collapsed S-DPST with no
+// detector attached, for callers that need only the tree (work and
+// span). No detection metric is recorded.
+func Tree(info *sem.Info) (*dpst.Tree, error) {
+	rec := trace.NewRecorder()
+	if _, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Trace: rec}); err != nil {
+		return nil, err
+	}
+	rr, err := trace.Replay(rec.Trace(), trace.ReplayOptions{Prog: info.Prog})
+	if err != nil {
+		return nil, err
+	}
+	return rr.Tree, nil
 }
 
 // Analyze replays a captured trace against a detector engine,
@@ -168,12 +180,7 @@ func CaptureAnalyzeStreamed(info *sem.Info, fins []trace.FinishRange, det Detect
 			if err := faults.Inject(faults.Detect); err != nil {
 				return err
 			}
-			r, err := interp.Run(info, interp.Options{
-				Mode:       interp.DepthFirst,
-				Instrument: true,
-				Trace:      rec,
-				Meter:      m,
-			})
+			r, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Trace: rec, Meter: m})
 			res = r
 			return err
 		})
@@ -226,27 +233,26 @@ func CaptureAnalyzeStreamed(info *sem.Info, fins []trace.FinishRange, det Detect
 
 // Detect captures the canonical sequential execution of the checked
 // program and analyzes it with a fresh detector: capture once, analyze
-// once. The returned result carries the replayed S-DPST (the tree the
-// detector's races reference).
-func Detect(info *sem.Info, v Variant, o Oracle) (*interp.Result, Detector, error) {
+// once. It returns the replayed S-DPST, the tree the detector's races
+// reference.
+func Detect(info *sem.Info, v Variant, o Oracle) (*interp.Result, *dpst.Tree, Detector, error) {
 	return DetectWith(info, v, o, nil)
 }
 
 // DetectWith is Detect threaded with the pipeline's shared budget meter:
 // the instrumented execution charges its work units against the
-// cumulative op budget, honors the S-DPST node bound, and aborts with a
-// typed error on cancellation or deadline. A nil meter is unlimited.
-func DetectWith(info *sem.Info, v Variant, o Oracle, m *guard.Meter) (*interp.Result, Detector, error) {
+// cumulative op budget, the replay honors the S-DPST node bound, and
+// both abort with a typed error on cancellation or deadline. A nil
+// meter is unlimited.
+func DetectWith(info *sem.Info, v Variant, o Oracle, m *guard.Meter) (*interp.Result, *dpst.Tree, Detector, error) {
 	res, tr, err := Capture(info, m)
 	if err != nil {
-		return res, nil, err
+		return res, nil, nil, err
 	}
 	det := New(v, o)
 	rr, err := Analyze(tr, info.Prog, nil, det, m, false)
 	if err != nil {
-		return res, det, err
+		return res, nil, det, err
 	}
-	res.Tree = rr.Tree
-	res.Steps = rr.Steps
-	return res, det, nil
+	return res, rr.Tree, det, nil
 }

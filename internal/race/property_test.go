@@ -26,7 +26,7 @@ func raceSet(t *testing.T, src string, v race.Variant, o race.Oracle) map[string
 	if err != nil {
 		t.Fatalf("check: %v\n%s", err, src)
 	}
-	_, det, err := race.Detect(info, v, o)
+	_, _, det, err := race.Detect(info, v, o)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, src)
 	}
@@ -104,7 +104,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	src := progen.Gen(7, progen.Default())
 	prog := parser.MustParse(src)
 	info := sem.MustCheck(prog)
-	res, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+	_, tree, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if !bytes.Equal(plain.Bytes(), buf.Bytes()) || buf.Len() != 12+38*len(races) {
 		t.Fatalf("trace of %d races: %d bytes in place, %d via a plain writer", len(races), buf.Len(), plain.Len())
 	}
-	got, err := race.ReadTrace(&buf, res.Tree)
+	got, err := race.ReadTrace(&buf, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +206,13 @@ func main() {
 	// Count only races on x's location involving the A3 write.
 	prog := parser.MustParse(src)
 	info := sem.MustCheck(prog)
-	_, mrwDet, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+	_, _, mrwDet, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog2 := parser.MustParse(src)
 	info2 := sem.MustCheck(prog2)
-	_, srwDet, err := race.Detect(info2, race.VariantSRW, race.NewBagsOracle())
+	_, _, srwDet, err := race.Detect(info2, race.VariantSRW, race.NewBagsOracle())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,17 +45,17 @@ func TestFibHasRaces(t *testing.T) {
 			func() race.Oracle { return race.NewBagsOracle() },
 			func() race.Oracle { return race.NewDPSTOracle() },
 		} {
-			res, det, err := race.Detect(info, v, mk())
+			res, tree, det, err := race.Detect(info, v, mk())
 			if err != nil {
 				t.Fatalf("%v run: %v", v, err)
 			}
 			if len(det.Races()) == 0 {
-				t.Errorf("%v: expected races in unsynchronized fib, got none\n%s", v, res.Tree.Dump())
+				t.Errorf("%v: expected races in unsynchronized fib, got none\n%s", v, tree.Dump())
 			}
-			if err := res.Tree.Validate(); err != nil {
+			if err := tree.Validate(); err != nil {
 				t.Errorf("%v: invalid S-DPST: %v", v, err)
 			}
-			t.Logf("%v: %d races, %d nodes, output %q", v, len(det.Races()), res.Tree.NumNodes(), res.Output)
+			t.Logf("%v: %d races, %d nodes, output %q", v, len(det.Races()), tree.NumNodes(), res.Output)
 		}
 	}
 }

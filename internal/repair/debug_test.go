@@ -46,7 +46,7 @@ func main() {
 func TestDebugMergesortGroups(t *testing.T) {
 	prog := parser.MustParse(miniMergesort)
 	info := sem.MustCheck(prog)
-	_, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+	_, _, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,10 @@ func main() {
 func TestDebugPlacements(t *testing.T) {
 	prog := parser.MustParse(miniSrc)
 	info := sem.MustCheck(prog)
-	res, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+	_, _, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res
 	t.Logf("races: %d", len(det.Races()))
 	groups := groupByNSLCA(det.Races())
 	for _, g := range groups {

@@ -49,7 +49,7 @@ func TestRepairRandomProgramsEndToEnd(t *testing.T) {
 		// Race-free after repair (independent re-check with the other
 		// oracle).
 		info := sem.MustCheck(prog)
-		_, det, err := race.Detect(info, race.VariantMRW, race.NewDPSTOracle())
+		_, _, det, err := race.Detect(info, race.VariantMRW, race.NewDPSTOracle())
 		if err != nil {
 			t.Fatalf("seed %d recheck: %v", seed, err)
 		}

@@ -38,9 +38,6 @@ type Options struct {
 	// Variant selects the detector (default MRW, which finds all races in
 	// one run; SRW may need extra iterations).
 	Variant race.Variant
-	// Oracle constructs the ordering oracle per detection run (default
-	// ESP-Bags).
-	Oracle func() race.Oracle
 	// MaxIterations bounds repair/re-detect rounds (default 10).
 	MaxIterations int
 	// MaxGraph bounds the dependence-graph size handled by the O(n^3)
@@ -105,20 +102,9 @@ type Options struct {
 	// are evaluated only by the trace-replay loop; ReExecute ignores
 	// this field and always inserts finishes.
 	Strategy Strategy
-
-	// defaultOracle records that the caller left Oracle unset: with the
-	// stock ESP-Bags oracle, Engine Both + Workers > 1 runs the fused
-	// dual-oracle engine (single shadow scan, per-query cross-check,
-	// shardable). A custom Oracle pins the legacy two-engine
-	// differential, whose race-set comparison is oracle-agnostic.
-	defaultOracle bool
 }
 
 func (o *Options) fill() {
-	if o.Oracle == nil {
-		o.defaultOracle = true
-		o.Oracle = func() race.Oracle { return race.NewBagsOracle() }
-	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 10
 	}
@@ -274,10 +260,11 @@ func repairReExecute(prog *ast.Program, opts Options) (*Report, error) {
 		detSpan := iterSpan.Child("detect").SetStr("variant", opts.Variant.String())
 		t0 := time.Now()
 		var res *interp.Result
+		var tree *dpst.Tree
 		var det race.Detector
 		err = guard.Protect("detect", func() error {
-			r, d, err := race.DetectWith(info, opts.Variant, opts.Oracle(), opts.Meter)
-			res, det = r, d
+			var err error
+			res, tree, det, err = race.DetectWith(info, opts.Variant, race.NewBagsOracle(), opts.Meter)
 			return err
 		})
 		if err != nil {
@@ -292,7 +279,7 @@ func repairReExecute(prog *ast.Program, opts Options) (*Report, error) {
 			detSpan.Rename("verify")
 		}
 		detSpan.SetInt("races", int64(len(det.Races()))).
-			SetInt("sdpst_nodes", int64(res.Tree.NumNodes())).
+			SetInt("sdpst_nodes", int64(tree.NumNodes())).
 			End()
 
 		t1 := time.Now()
@@ -311,7 +298,7 @@ func repairReExecute(prog *ast.Program, opts Options) (*Report, error) {
 				}
 				rep.TraceBytes += buf.Len()
 				var rerr error
-				races, rerr = race.ReadTrace(&buf, res.Tree)
+				races, rerr = race.ReadTrace(&buf, tree)
 				return rerr
 			})
 			ioSpan.SetInt("trace_bytes", int64(buf.Len())).End()
@@ -325,7 +312,7 @@ func repairReExecute(prog *ast.Program, opts Options) (*Report, error) {
 		}
 		it := Iteration{
 			Races:      len(races),
-			SDPSTNodes: res.Tree.NumNodes(),
+			SDPSTNodes: tree.NumNodes(),
 			DetectTime: detectTime,
 		}
 		if len(races) == 0 {
@@ -334,7 +321,7 @@ func repairReExecute(prog *ast.Program, opts Options) (*Report, error) {
 			rep.Output = res.Output
 			if opts.Explain != nil {
 				opts.Explain.Iterations = append(opts.Explain.Iterations,
-					provenance.Iteration{N: iter, CPL: provCPL(res.Tree)})
+					provenance.Iteration{N: iter, CPL: provCPL(tree)})
 				opts.Explain.Converged = true
 				opts.Explain.Degraded = rep.DegradedReason
 			}
@@ -397,7 +384,7 @@ func repairReExecute(prog *ast.Program, opts Options) (*Report, error) {
 		it.PlaceTime = time.Since(tPlace)
 		mStagePlaceNs.Observe(it.PlaceTime.Nanoseconds())
 		if opts.Explain != nil {
-			pit := provenance.Iteration{N: iter, Races: provRaces(races), CPL: provCPL(res.Tree)}
+			pit := provenance.Iteration{N: iter, Races: provRaces(races), CPL: provCPL(tree)}
 			for _, o := range outcomes {
 				pit.Groups = append(pit.Groups, provGroup(o))
 			}
@@ -807,8 +794,7 @@ func pruneSerialGroups(groups []*group, mhp func(src, dst *dpst.Node) bool) (kep
 	return kept, pruned
 }
 
-// newRepairEngine builds the detector engine for one analysis round,
-// honoring a custom Oracle for the ESP-Bags side. With the stock oracle,
+// newRepairEngine builds the detector engine for one analysis round.
 // Engine Both + Workers > 1 selects the fused dual-oracle engine: one
 // shadow scan cross-checking both backends per ordering query, which
 // AnalyzeParallel then shards across workers.
@@ -817,15 +803,15 @@ func newRepairEngine(opts Options) race.Engine {
 	case race.EngineVC:
 		return race.NewEngine(race.EngineVC, opts.Variant)
 	case race.EngineBoth:
-		if opts.Workers > 1 && opts.defaultOracle {
+		if opts.Workers > 1 {
 			return race.NewFused(opts.Variant)
 		}
 		return race.NewDifferential(
-			race.WithName(race.New(opts.Variant, opts.Oracle()), "espbags"),
+			race.WithName(race.New(opts.Variant, race.NewBagsOracle()), "espbags"),
 			race.NewEngine(race.EngineVC, opts.Variant),
 		)
 	default:
-		return race.WithName(race.New(opts.Variant, opts.Oracle()), "espbags")
+		return race.WithName(race.New(opts.Variant, race.NewBagsOracle()), "espbags")
 	}
 }
 

@@ -114,7 +114,7 @@ func repairAndVerify(t *testing.T, src string, opts repair.Options) (*ast.Progra
 
 	// Race-free after repair.
 	info := sem.MustCheck(prog)
-	_, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+	_, _, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 	if err != nil {
 		t.Fatalf("post-repair run: %v", err)
 	}

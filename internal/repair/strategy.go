@@ -108,9 +108,10 @@ type strategyEvaluator struct {
 	meter    *guard.Meter
 	strategy Strategy
 
-	sites  *commute.SiteIndex
-	locs   *analysis.Result
-	probed map[[2]commute.Key]error
+	sites     *commute.SiteIndex
+	isoBodies map[*ast.Block]bool
+	locs      *analysis.Result
+	probed    map[[2]commute.Key]error
 }
 
 // choose decides between the group's finish placements (already
@@ -213,6 +214,8 @@ func flipRace(r *race.Race) *race.Race {
 //
 //   - an access site has no statement coordinates (global initializer),
 //   - a site does not resolve to a block statement,
+//   - a site's statement lies inside a source-level isolated body
+//     (wrapping it would nest isolated regions),
 //   - an access statement is not part of a recognized commutative
 //     update region (single statement or a bounded straight-line region
 //     of local computation feeding one shared update),
@@ -232,6 +235,7 @@ func flipRace(r *race.Race) *race.Race {
 func (ev *strategyEvaluator) isolatedCandidate(g *group, ch *strategyChoice) ([]Placement, string) {
 	if ev.sites == nil {
 		ev.sites = commute.NewSiteIndex(ev.prog)
+		ev.isoBodies = isolatedBodies(ev.prog)
 	}
 	seen := map[commute.Key]bool{}
 	var updates []commute.Update
@@ -244,6 +248,9 @@ func (ev *strategyEvaluator) isolatedCandidate(g *group, ch *strategyChoice) ([]
 			b := ast.FindBlock(ev.prog, int(site.Block))
 			if b == nil || int(site.Stmt) >= len(b.Stmts) {
 				return nil, "access site does not resolve to a statement"
+			}
+			if ev.isoBodies[b] {
+				return nil, "access site lies inside a source-level isolated body"
 			}
 			st := b.Stmts[site.Stmt]
 			u, ok := ev.sites.At(st)
@@ -318,6 +325,27 @@ func (ev *strategyEvaluator) isolatedCandidate(g *group, ch *strategyChoice) ([]
 		})
 	}
 	return ps, ""
+}
+
+// isolatedBodies returns every block lexically inside an isolated
+// statement of prog.
+func isolatedBodies(prog *ast.Program) map[*ast.Block]bool {
+	in := map[*ast.Block]bool{}
+	var mark func(b *ast.Block)
+	mark = func(b *ast.Block) {
+		in[b] = true
+		for _, s := range b.Stmts {
+			for _, nb := range ast.StmtBlocks(s) {
+				mark(nb)
+			}
+		}
+	}
+	ast.Inspect(prog, func(s ast.Stmt) {
+		if is, ok := s.(*ast.IsolatedStmt); ok && !in[is.Body] {
+			mark(is.Body)
+		}
+	})
+	return in
 }
 
 // probePair runs the semantic order probe on one update pair, caching

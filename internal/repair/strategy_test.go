@@ -133,6 +133,48 @@ func TestRepairStrategyFallsBackOnNonCommutative(t *testing.T) {
 	}
 }
 
+// A race whose access sits inside a source-level isolated body must not
+// get an isolated candidate: the wrapping would nest one isolated inside
+// another (hjvet's redundant-isolated) and still leave the race with the
+// unsynchronized write, so the group takes the finish repair in one
+// round and records why.
+func TestRepairStrategyRejectsSitesInSourceIsolated(t *testing.T) {
+	const src = `var x = 0; func main() { async { isolated { x = x + 1; } } x = x + 2; println(x); }`
+	const want = `var x int = 0;
+
+func main() {
+    finish { // inserted by repair tool
+        async {
+            isolated {
+                x = x + 1;
+            }
+        }
+    }
+    x = x + 2;
+    println(x);
+}
+`
+	var ex provenance.Explain
+	prog, rep := repairAndVerify(t, src, repair.Options{Strategy: repair.StrategyAuto, Explain: &ex})
+	if got := printer.Print(prog); got != want {
+		t.Errorf("repaired source:\n%s\nwant:\n%s", got, want)
+	}
+	if len(rep.Iterations) != 2 || rep.Inserted != 1 {
+		t.Errorf("%d iterations, %d inserted; want 2 and 1", len(rep.Iterations), rep.Inserted)
+	}
+	found := false
+	for _, it := range ex.Iterations {
+		for _, g := range it.Groups {
+			if g.StrategyWhy == "isolated infeasible: access site lies inside a source-level isolated body" {
+				found = true
+			}
+		}
+	}
+	if !found {
+		t.Error("no group recorded the source-level isolated reason")
+	}
+}
+
 // The mixed-counter soundness regression: each statement is a
 // recognized additive reduction of its own location, but sum's operand
 // READS cnt, so the pair's execution orders disagree and isolating both

@@ -85,8 +85,10 @@ type ReplayOptions struct {
 	Finishes []FinishRange
 	// Sink receives the replayed execution (may be nil).
 	Sink Sink
-	// NoCollapse disables maximal-step collapsing, exactly as in
-	// interp.Options.
+	// NoCollapse disables maximal-step collapsing of task-free scope
+	// subtrees (the paper's §9 "garbage collection of parts of the
+	// S-DPST that do not exhibit race conditions", realized eagerly).
+	// Coverage and the ablation study use it; detection collapses.
 	NoCollapse bool
 	// Meter, when set, bounds the replay: periodic cancellation/deadline
 	// checks and the S-DPST node budget. Replay charges no interpreter
@@ -182,13 +184,12 @@ func (t *Trace) nextChunk(i int) ([]Event, []string, bool, error) {
 func (t *Trace) tailWork() int64 { return t.TailWork }
 
 // Replay reconstructs the execution recorded in tr, feeding sink and
-// rebuilding the S-DPST. With no injected finishes the resulting tree
-// is node-for-node identical (IDs, kinds, coordinates, work) to the one
-// the instrumented execution built, because replay re-runs the same
-// step state machine the interpreter used at capture time. Injected
-// finishes appear exactly where re-executing the rewritten program
-// would put them; finish statements are free in the cost model, so no
-// other node changes.
+// building the S-DPST: steps open at step boundaries (extending the
+// trailing step of the same block when a collapsed scope left one),
+// interior nodes at pushes, and scopes collapse into maximal steps as
+// they pop. Injected finishes appear exactly where re-executing the
+// rewritten program would put them; finish statements are free in the
+// cost model, so no other node changes.
 func Replay(tr *Trace, opts ReplayOptions) (*Result, error) {
 	return replayFrom(tr, opts)
 }
@@ -370,8 +371,10 @@ func (r *replayer) noteNode() {
 	}
 }
 
-// ensureStep mirrors the interpreter's step state machine, including
-// the trailing-merge rule for maximal steps.
+// ensureStep opens a step at a step boundary, or extends the current
+// one; with no current step it first tries the trailing-merge rule for
+// maximal steps: a trailing step of the same block, left by a collapsed
+// scope, is extended instead of starting a new one.
 func (r *replayer) ensureStep(bid, stmt int32) {
 	b := r.block(bid)
 	idx := int(stmt)
@@ -421,8 +424,8 @@ func (r *replayer) push(e *Event) {
 	n.Body = r.block(e.Body)
 	iso := n.Kind == dpst.Scope && n.Class == dpst.IsoScope
 	if iso {
-		// The event codec carries no lock class; resolve it from the
-		// AST: the frame's construct is OwnerBlock.Stmts[StmtLo].
+		// Events carry no lock class; resolve it from the AST: the
+		// frame's construct is OwnerBlock.Stmts[StmtLo].
 		cls := 0
 		if ob := n.OwnerBlock; ob != nil && n.StmtLo >= 0 && n.StmtLo < len(ob.Stmts) {
 			if is, ok := ob.Stmts[n.StmtLo].(*ast.IsolatedStmt); ok {

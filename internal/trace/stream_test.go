@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -28,7 +27,7 @@ func main() {
 // virtual finish range spanning every chunk seam, and requires
 // identical trees: injection state must carry across seams.
 func TestReplayStreamMatchesBatch(t *testing.T) {
-	info, _, tr := capture(t, bigSrc, false)
+	info, _, tr := capture(t, bigSrc)
 	if tr.Len() <= 4096 {
 		t.Fatalf("fixture too small to cross a chunk seam: %d events", tr.Len())
 	}
@@ -62,43 +61,11 @@ func TestReplayStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestCodecMultiChunkRoundTrip round-trips a trace spanning several
-// chunk frames through the v3 codec and requires an identical replay.
-func TestCodecMultiChunkRoundTrip(t *testing.T) {
-	info, _, tr := capture(t, bigSrc, false)
-	if tr.Len() <= 4096 {
-		t.Fatalf("fixture too small to span chunk frames: %d events", tr.Len())
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != tr.Len() || back.TailWork != tr.TailWork {
-		t.Fatalf("decoded %d events tail %d, want %d/%d",
-			back.Len(), back.TailWork, tr.Len(), tr.TailWork)
-	}
-	r1, err := trace.Replay(tr, trace.ReplayOptions{Prog: info.Prog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := trace.Replay(back, trace.ReplayOptions{Prog: info.Prog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if describe(r1.Tree) != describe(r2.Tree) {
-		t.Error("decoded multi-chunk trace replays differently")
-	}
-}
-
 // TestStreamFailUnblocksConsumer checks the producer-failure contract:
 // a consumer blocked waiting for the next chunk must return the
 // producer's error promptly once Fail is called, instead of hanging.
 func TestStreamFailUnblocksConsumer(t *testing.T) {
-	info, _, _ := capture(t, bigSrc, false)
+	info, _, _ := capture(t, bigSrc)
 	s := trace.NewStream()
 	boom := errors.New("capture exploded")
 

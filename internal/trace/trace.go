@@ -2,13 +2,12 @@
 // execution: a compact, replayable stream of structure events (interior
 // node push/pop), step boundaries, and instrumented memory accesses.
 //
-// The interpreter captures a trace once; analyses then replay it many
-// times — against different race-detector engines, with different
-// collapse policies, or with additional virtual finish scopes injected —
-// without re-executing the program. Replay reconstructs an S-DPST that
-// is node-for-node identical to the one the instrumented execution
-// would have built, so detector output (which references tree nodes) is
-// interchangeable between the two paths.
+// The interpreter captures a trace once and builds no tree; analyses
+// then replay it many times — against different race-detector engines,
+// with different collapse policies, or with additional virtual finish
+// scopes injected — without re-executing the program. Replay is the
+// only builder of the S-DPST, so every tree a detector's races reference
+// comes from it.
 package trace
 
 import "finishrepair/internal/lang/ast"

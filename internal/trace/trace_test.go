@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,29 +11,14 @@ import (
 	"finishrepair/internal/lang/ast"
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
-	"finishrepair/internal/progen"
 	"finishrepair/internal/race"
 	"finishrepair/internal/trace"
 )
 
-// describe renders every structural fact of the tree replay must
-// reproduce: IDs, kinds, classes, labels, owner blocks, statement
-// coordinates, and per-step work.
+// describe renders a tree with describeTo.
 func describe(t *dpst.Tree) string {
 	var sb strings.Builder
-	var visit func(n *dpst.Node, depth int)
-	visit = func(n *dpst.Node, depth int) {
-		owner := -1
-		if n.OwnerBlock != nil {
-			owner = n.OwnerBlock.ID
-		}
-		fmt.Fprintf(&sb, "%*s%d %s %d %q b%d [%d,%d] w%d\n",
-			depth*2, "", n.ID, n.Kind, n.Class, n.Label, owner, n.StmtLo, n.StmtHi, n.Work)
-		for _, c := range n.Children {
-			visit(c, depth+1)
-		}
-	}
-	visit(t.Root, 0)
+	describeTo(&sb, t)
 	return sb.String()
 }
 
@@ -83,7 +67,7 @@ func main() {
 }`},
 }
 
-func capture(t *testing.T, src string, noCollapse bool) (*sem.Info, *interp.Result, *trace.Trace) {
+func capture(t *testing.T, src string) (*sem.Info, *interp.Result, *trace.Trace) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -93,87 +77,11 @@ func capture(t *testing.T, src string, noCollapse bool) (*sem.Info, *interp.Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder()
-	res, err := interp.Run(info, interp.Options{
-		Mode: interp.DepthFirst, Instrument: true,
-		Trace: rec, NoCollapse: noCollapse,
-	})
+	res, tr, err := captureRun(info)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return info, res, rec.Trace()
-}
-
-// Replay with no injected finishes must rebuild a tree node-for-node
-// identical to the one the instrumented execution built, under both
-// collapse policies, for hand-written and generated programs.
-func TestReplayReconstructsTree(t *testing.T) {
-	srcs := make(map[string]string)
-	for _, f := range fixtures {
-		srcs[f.name] = f.src
-	}
-	for seed := int64(7000); seed < 7020; seed++ {
-		srcs[fmt.Sprintf("progen-%d", seed)] = progen.Gen(seed, progen.Default())
-	}
-	for name, src := range srcs {
-		for _, noCollapse := range []bool{false, true} {
-			info, res, tr := capture(t, src, noCollapse)
-			rr, err := trace.Replay(tr, trace.ReplayOptions{
-				Prog: info.Prog, NoCollapse: noCollapse,
-			})
-			if err != nil {
-				t.Fatalf("%s (noCollapse=%v): replay: %v", name, noCollapse, err)
-			}
-			want, got := describe(res.Tree), describe(rr.Tree)
-			if want != got {
-				t.Errorf("%s (noCollapse=%v): replayed tree differs\n-- executed --\n%s\n-- replayed --\n%s",
-					name, noCollapse, want, got)
-			}
-			if rr.Steps != res.Steps {
-				t.Errorf("%s: replay steps = %d, executed = %d", name, rr.Steps, res.Steps)
-			}
-		}
-	}
-}
-
-// The binary codec must round-trip the stream exactly: the decoded
-// trace replays to the same tree and race set as the original.
-func TestCodecRoundTrip(t *testing.T) {
-	for _, f := range fixtures {
-		info, _, tr := capture(t, f.src, false)
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			t.Fatalf("%s: encode: %v", f.name, err)
-		}
-		back, err := trace.Read(&buf)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", f.name, err)
-		}
-		if back.Len() != tr.Len() || back.TailWork != tr.TailWork {
-			t.Fatalf("%s: decoded %d events tail %d, want %d/%d",
-				f.name, back.Len(), back.TailWork, tr.Len(), tr.TailWork)
-		}
-		r1, err := trace.Replay(tr, trace.ReplayOptions{Prog: info.Prog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := trace.Replay(back, trace.ReplayOptions{Prog: info.Prog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if describe(r1.Tree) != describe(r2.Tree) {
-			t.Errorf("%s: decoded trace replays differently", f.name)
-		}
-	}
-}
-
-func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := trace.Read(bytes.NewReader([]byte("NOPE0000"))); err == nil {
-		t.Error("decoder accepted bad magic")
-	}
-	if _, err := trace.Read(bytes.NewReader(nil)); err == nil {
-		t.Error("decoder accepted empty input")
-	}
+	return info, res, tr
 }
 
 // raceProfile is the injection-equivalence identity: the multiset of
@@ -210,11 +118,11 @@ func analyze(t *testing.T, src string) (*sem.Info, []*race.Race, cpl.Metrics) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+	_, tree, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return info, det.Races(), cpl.Analyze(res.Tree)
+	return info, det.Races(), cpl.Analyze(tree)
 }
 
 // Injected virtual finishes must be observationally equivalent to
@@ -294,7 +202,7 @@ func main() {
 		_, wantRaces, wantM := analyze(t, c.finished)
 
 		// Capture the stripped program once; replay with injection.
-		info, _, tr := capture(t, c.stripped, false)
+		info, _, tr := capture(t, c.stripped)
 		var fins []trace.FinishRange
 		for _, r := range c.ranges {
 			blk := info.Prog.Func(r.fn).Body
@@ -348,14 +256,12 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder()
-	if _, err := interp.Run(info, interp.Options{
-		Mode: interp.DepthFirst, Instrument: true, Trace: rec,
-	}); err != nil {
+	_, tr, err := captureRun(info)
+	if err != nil {
 		t.Fatal(err)
 	}
 	blk := info.Prog.Func("f").Body
-	rr, err := trace.Replay(rec.Trace(), trace.ReplayOptions{
+	rr, err := trace.Replay(tr, trace.ReplayOptions{
 		Prog:     info.Prog,
 		Finishes: []trace.FinishRange{{BlockID: blk.ID, Lo: 2, Hi: 2}},
 	})
@@ -374,17 +280,14 @@ func main() {
 // version yield the same accesses and work (finishes are free).
 func TestFinishStatementsAreFreeInTrace(t *testing.T) {
 	for _, f := range fixtures {
-		_, res1, _ := capture(t, f.src, false)
+		_, res1, _ := capture(t, f.src)
 		prog, _ := parser.Parse(f.src)
 		ast.StripFinishes(prog)
 		sinfo, err := sem.Check(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := trace.NewRecorder()
-		res2, err := interp.Run(sinfo, interp.Options{
-			Mode: interp.DepthFirst, Instrument: true, Trace: rec,
-		})
+		res2, _, err := captureRun(sinfo)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -188,6 +188,28 @@ func TestDetectCtxSDPSTNodeBudget(t *testing.T) {
 	}
 }
 
+// The S-DPST node budget trips while replay builds the tree, so its
+// phase is detect; on the streamed repair path (-j 2) the replay's
+// error is returned once capture has finished.
+func TestSDPSTNodeBudgetTripsInReplay(t *testing.T) {
+	p, err := tdr.Load(shortRacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := tdr.Budget{MaxSDPSTNodes: 2}
+	_, err = p.DetectCtx(context.Background(), tdr.MRW, budget)
+	var be *tdr.BudgetExceededError
+	if !errors.As(err, &be) || be.Resource != tdr.ResourceSDPSTNodes || be.Phase != "detect" {
+		t.Fatalf("detect: expected an S-DPST node budget trip in phase detect, got %v", err)
+	}
+	for _, e := range []tdr.Engine{tdr.ESPBags, tdr.Both} {
+		_, err = p.RepairCtx(context.Background(), tdr.RepairOptions{Engine: e, Workers: 2, Budget: budget})
+		if !errors.As(err, &be) || be.Resource != tdr.ResourceSDPSTNodes {
+			t.Fatalf("streamed repair (engine %v): expected an S-DPST node budget trip, got %v", e, err)
+		}
+	}
+}
+
 func TestRunParallelCtxCancel(t *testing.T) {
 	p, err := tdr.Load(longQuiet)
 	if err != nil {

@@ -243,8 +243,9 @@ func (p *Program) Detect(d Detector) (*RaceReport, error) {
 }
 
 // DetectCtx is Detect with cancellation and a budget: the instrumented
-// execution charges against b's op and S-DPST-node limits and aborts
-// with a typed error when ctx is canceled or a limit trips.
+// execution charges against b's op limit, the replay that builds the
+// S-DPST against its node limit, and both abort with a typed error when
+// ctx is canceled or a limit trips.
 func (p *Program) DetectCtx(ctx context.Context, d Detector, b Budget) (*RaceReport, error) {
 	return p.DetectEngineCtx(ctx, d, ESPBags, b)
 }
@@ -316,7 +317,7 @@ func (p *Program) SDPSTDot() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("tdr: %w", err)
 	}
-	res, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+	_, tree, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
 	if err != nil {
 		return "", fmt.Errorf("tdr: %w", err)
 	}
@@ -324,7 +325,7 @@ func (p *Program) SDPSTDot() (string, error) {
 	for _, r := range det.Races() {
 		edges = append(edges, [2]*dpst.Node{r.Src, r.Dst})
 	}
-	return res.Tree.DOT(edges), nil
+	return tree.DOT(edges), nil
 }
 
 // RepairOptions configures Repair.
@@ -769,10 +770,10 @@ func (p *Program) CriticalPath() (Parallelism, error) {
 	if err != nil {
 		return Parallelism{}, fmt.Errorf("tdr: %w", err)
 	}
-	res, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Instrument: true})
+	tree, err := race.Tree(info)
 	if err != nil {
 		return Parallelism{}, fmt.Errorf("tdr: %w", err)
 	}
-	m := cpl.Analyze(res.Tree)
+	m := cpl.Analyze(tree)
 	return Parallelism{Work: m.Work, Span: m.Span}, nil
 }
