@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -175,15 +176,15 @@ func BenchmarkHomeworkGrading(b *testing.B) {
 // analyze-many halves and compares the pluggable engines: "capture" is
 // the one instrumented execution that records the event-trace IR,
 // "espbags" / "vc" are pure trace replays through each detector backend,
-// "both" runs the legacy two-engine differential pair serially (the
-// independent-engines gold standard), and "both-j2" / "both-j4" run the
-// fused dual-oracle engine with the requested analysis parallelism —
-// one shadow scan cross-checking both oracles per ordering query,
-// sharded by location hash when cores allow (race.AnalyzeParallel).
-// Engines are released back to the shadow-memory reuse pool between
-// iterations, as the repair loop does. Regenerate BENCH_detect.json
-// with `make bench-detect`; gate regressions with `make bench-diff`
-// (which also enforces both-jN <= both per benchmark).
+// "both" runs ESP-Bags and then VC as two independent analyses and
+// compares their race sets (the independent-engines gold standard), and
+// "both-j1" / "both-j2" / "both-j4" run the fused dual-oracle engine
+// that -detector both -j N runs — one shadow scan cross-checking both
+// oracles per ordering query, sharded by location hash when cores allow
+// (race.AnalyzeParallel). Engines are released back to the shadow-memory
+// reuse pool between iterations, as the repair loop does. Regenerate
+// BENCH_detect.json with `make bench-detect`; gate regressions with
+// `make bench-diff` (which also enforces both-jN <= both per benchmark).
 func BenchmarkDetectEngines(b *testing.B) {
 	release := func(eng race.Engine) {
 		if r, ok := eng.(race.Releaser); ok {
@@ -255,46 +256,52 @@ func BenchmarkDetectEngines(b *testing.B) {
 				reportQuantiles(b, durs)
 			})
 		}
+		// both = ESP-Bags then VC, each its own analysis, race sets
+		// compared; both-jN = the fused dual-oracle engine under
+		// AnalyzeParallel.
+		type stage struct {
+			name string
+			run  func(b *testing.B)
+		}
+		stages := []stage{{"both", func(b *testing.B) {
+			var keys [2][]string
+			for i, kind := range []race.EngineKind{race.EngineESPBags, race.EngineVC} {
+				eng := race.NewEngine(kind, race.VariantMRW)
+				if _, err := race.Analyze(tr, info.Prog, nil, eng, nil, false); err != nil {
+					b.Fatal(err)
+				}
+				for _, r := range eng.Races() {
+					keys[i] = append(keys[i], r.String())
+				}
+				release(eng)
+				sort.Strings(keys[i])
+			}
+			if !slices.Equal(keys[0], keys[1]) {
+				b.Fatalf("espbags found %d race(s), vc %d: race sets differ", len(keys[0]), len(keys[1]))
+			}
+		}}}
 		for _, workers := range []int{1, 2, 4} {
-			workers := workers
-			stage := "both"
-			if workers > 1 {
-				stage = fmt.Sprintf("both-j%d", workers)
-			}
-			// both = legacy two-engine differential, serial; both-jN =
-			// fused dual-oracle engine under AnalyzeParallel.
-			mkEng := func() race.Engine {
-				if workers > 1 {
-					return race.NewFused(race.VariantMRW)
-				}
-				return race.NewEngine(race.EngineBoth, race.VariantMRW)
-			}
-			b.Run(bm.Name+"/"+stage, func(b *testing.B) {
-				b.ReportAllocs()
-				check := func(eng race.Engine) {
-					if c, ok := eng.(race.Checker); ok {
-						if err := c.Check(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				eng := mkEng()
+			stages = append(stages, stage{fmt.Sprintf("both-j%d", workers), func(b *testing.B) {
+				eng := race.NewFused(race.VariantMRW)
 				if _, err := race.AnalyzeParallel(tr, info.Prog, nil, eng, nil, false, workers); err != nil {
 					b.Fatal(err)
 				}
-				check(eng)
+				if err := eng.Check(); err != nil {
+					b.Fatal(err)
+				}
 				release(eng)
+			}})
+		}
+		for _, st := range stages {
+			b.Run(bm.Name+"/"+st.name, func(b *testing.B) {
+				b.ReportAllocs()
+				st.run(b)
 				runtime.GC()
 				durs := make([]time.Duration, 0, b.N)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					t0 := time.Now()
-					eng := mkEng()
-					if _, err := race.AnalyzeParallel(tr, info.Prog, nil, eng, nil, false, workers); err != nil {
-						b.Fatal(err)
-					}
-					check(eng)
-					release(eng)
+					st.run(b)
 					durs = append(durs, time.Since(t0))
 				}
 				reportQuantiles(b, durs)

@@ -9,15 +9,16 @@
 //	hjrepair [-detector mrw|srw|espbags|vc|both] [-strategy finish|isolated|auto] ("iso" = "isolated")
 //	         [-j N] [-o out.hj]
 //	         [-quiet] [-max-iter N] [-timeout D] [-max-dp-states N]
-//	         [-vet] [-static-prune] [-explain out.json]
+//	         [-vet] [-explain out.json]
 //	         [-witness] [-adversary K] [-sched-seed N]
 //	         [-trace out.json] [-jsonl out.jsonl] [-metrics] [-v] program.hj
 //
 // -detector picks the detector: "mrw" (default) and "srw" select the
 // ESP-Bags variant; "espbags", "vc", and "both" select the analysis
 // engine replayed over the captured event trace — ESP-Bags, the
-// vector-clock detector, or both in lockstep. With "both" any race-set
-// disagreement between the engines aborts the repair with exit code 5.
+// vector-clock detector, or both fused into one shadow scan that asks
+// both oracles every ordering query. With "both" the first query the
+// oracles answer differently aborts the repair with exit code 5.
 //
 // -strategy picks how each race group is eliminated: "finish" inserts
 // finish statements (the paper's repair), "isolated" (alias "iso")
@@ -28,9 +29,9 @@
 // and keeps the one with the shorter post-repair critical path. The
 // -explain record documents every choice (candidate spans and why).
 //
-// -j N parallelizes the analysis: with "-detector both" the two engines
-// analyze the captured trace concurrently, and the independent
-// per-NS-LCA finish-placement problems are solved on a worker pool of N
+// -j N parallelizes the analysis: with "-detector both" the fused scan
+// is sharded across N workers, and the independent per-NS-LCA
+// finish-placement problems are solved on a worker pool of N
 // goroutines. The repaired program is byte-identical for any N.
 //
 // Robustness: -timeout bounds the wall-clock time of the whole pipeline
@@ -42,9 +43,7 @@
 // Static analysis: -vet runs the static MHP/effect analyzer before the
 // repair and reports on stderr every static race candidate the test
 // input never exercised — the repair guarantee is test-driven, and
-// these pairs are where other inputs could still race. -static-prune
-// uses the same analysis to skip race groups that are statically
-// serial; the repaired program is byte-identical with or without it.
+// these pairs are where other inputs could still race.
 //
 // Observability: -trace writes a Chrome trace_event JSON covering every
 // pipeline phase (open it in chrome://tracing or ui.perfetto.dev),
@@ -75,10 +74,10 @@
 // Exit codes: 0 repaired (or already race-free), 1 error, 2 usage,
 // 3 the iteration bound was exhausted with races remaining, 4 a
 // resource budget (wall clock, ops, DP states) was exhausted or the run
-// was canceled, 5 the differential detector engines disagreed
-// (-detector both), 7 adversarial replay found a divergence that
-// survives the repair: the verification diverged, or the iteration
-// bound was exhausted with at least one witnessed race.
+// was canceled, 5 the ESP-Bags and vector-clock oracles disagreed on an
+// ordering query (-detector both), 7 adversarial replay found a
+// divergence that survives the repair: the verification diverged, or
+// the iteration bound was exhausted with at least one witnessed race.
 package main
 
 import (
@@ -96,8 +95,8 @@ import (
 // exitMaxIterations is the distinct exit code for a repair that ran out
 // of iterations before reaching race-freedom; exitBudgetExceeded for a
 // run stopped by a resource budget or cancellation; exitDisagreement
-// for differential detector engines (-detector both) reporting
-// different race sets.
+// for the fused engine (-detector both) reporting an ordering query its
+// two oracles answered differently.
 // exitAdversary reports a divergence that survives the repair: either
 // the post-repair adversarial verification diverged from the serial
 // oracle, or the iteration bound was exhausted with at least one race
@@ -112,7 +111,7 @@ const (
 func main() {
 	detector := flag.String("detector", "mrw", "race detector: mrw|srw (ESP-Bags variant) or espbags|vc|both (trace-analysis engine)")
 	strategy := flag.String("strategy", "auto", "repair strategy per race group: finish|isolated|auto; \"iso\" is accepted as an alias of isolated (auto picks the shorter post-repair critical path)")
-	workers := flag.Int("j", 1, "analysis parallelism: concurrent detector engines and per-NS-LCA DP workers (output is identical for any value)")
+	workers := flag.Int("j", 1, "analysis parallelism: fused-scan shards (-detector both) and per-NS-LCA DP workers (output is identical for any value)")
 	out := flag.String("o", "", "write repaired program to this file (default stdout)")
 	quiet := flag.Bool("quiet", false, "suppress the repair summary on stderr")
 	maxIter := flag.Int("max-iter", 0, "bound on detect/repair rounds (0 = default 10)")
@@ -123,7 +122,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the metrics snapshot to stderr")
 	verbose := flag.Bool("v", false, "print the phase span tree to stderr")
 	vet := flag.Bool("vet", false, "run the static analyzer and report race candidates the test input never exercised (coverage gaps) on stderr")
-	staticPrune := flag.Bool("static-prune", false, "skip NS-LCA race groups the static MHP analysis proves serial (output is identical either way)")
 	explainFile := flag.String("explain", "", "write the repair-provenance record (race pairs, NS-LCA groups, DP decisions, CPL before/after) as JSON to this file; with -v also summarize it on stderr")
 	witness := flag.Bool("witness", false, "replay each reported race under deterministic adversarial schedules to a concrete divergence witness; with -vet also drive the coverage gaps to a verdict")
 	adversary := flag.Int("adversary", 0, "verify the repaired program under this many adversarial schedules, exit 7 on any divergence from the serial oracle (0 with -witness = 16)")
@@ -210,7 +208,6 @@ func main() {
 		Budget:             tdr.Budget{Timeout: *timeout, MaxDPStates: *maxDPStates},
 		Workers:            *workers,
 		Vet:                *vet,
-		StaticPrune:        *staticPrune,
 		Explain:            *explainFile != "",
 		Witness:            *witness,
 		AdversarySchedules: *adversary,

@@ -170,8 +170,6 @@ func buildExplain(d *reportData, ex *provenance.Explain) {
 		for _, g := range it.Groups {
 			status := "deferred"
 			switch {
-			case g.PrunedSerial:
-				status = "pruned (static serial)"
 			case g.Applied && g.Fallback:
 				status = "applied (fallback)"
 			case g.Applied:

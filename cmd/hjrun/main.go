@@ -24,8 +24,9 @@
 // For -mode detect, -detector picks the detector: "mrw" (default) and
 // "srw" select the ESP-Bags variant; "espbags", "vc", and "both" select
 // the engine that analyzes the captured event trace — ESP-Bags, the
-// vector-clock detector, or both in lockstep. With "both" any race-set
-// disagreement between the engines exits with code 5.
+// vector-clock detector, or both fused into one shadow scan that asks
+// both oracles every ordering query. With "both" the first query the
+// oracles answer differently exits with code 5.
 //
 // Observability: -trace writes a Chrome trace_event JSON of the phases
 // (parse, sem-check, and the run/detect phase), -jsonl a JSONL event
@@ -49,9 +50,10 @@ import (
 
 // exitBudgetExceeded is the distinct exit code for a run stopped by a
 // resource budget (wall clock, ops) or cancellation; exitDisagreement
-// for differential detector engines (-detector both) reporting
-// different race sets; exitAdversary for a -mode stress run whose
-// program diverged from the serial oracle under some schedule.
+// for the fused engine (-detector both) reporting an ordering query its
+// two oracles answered differently; exitAdversary for a -mode stress
+// run whose program diverged from the serial oracle under some
+// schedule.
 const (
 	exitBudgetExceeded = 4
 	exitDisagreement   = 5

@@ -159,22 +159,6 @@ func (r *Result) index() {
 	}
 }
 
-// NumStmts returns the size of the statement universe.
-func (r *Result) NumStmts() int { return len(r.stmts) }
-
-// MHPPairs returns the number of ordered statement pairs in the MHP
-// relation.
-func (r *Result) MHPPairs() int { return r.mhpPairs }
-
-// StmtID returns the dense ID of a statement, or -1 when the statement
-// is not part of the analyzed program.
-func (r *Result) StmtID(s ast.Stmt) int {
-	if id, ok := r.byStmt[s]; ok {
-		return id
-	}
-	return -1
-}
-
 // stmtCallees returns the user functions that statement s may call
 // directly (through its own expressions, not nested statements).
 func (r *Result) stmtCallees(s ast.Stmt) []*ast.FuncDecl {

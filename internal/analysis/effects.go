@@ -302,9 +302,6 @@ func (r *Result) stmtEffect(s ast.Stmt, t *locTable) effect {
 	return e
 }
 
-// NumLocations returns the number of abstract locations.
-func (r *Result) NumLocations() int { return r.locs.n }
-
 // LocationName renders location id for diagnostics ("sum" for a global,
 // "a[]" for the element class of arrays aliasing a).
 func (r *Result) LocationName(id int) string {

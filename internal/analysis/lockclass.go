@@ -89,11 +89,3 @@ func (r *Result) targetLocation(target ast.Expr) int {
 	}
 	return -1
 }
-
-// LockClassName renders a lock class for provenance output.
-func (r *Result) LockClassName(class int) string {
-	if class == 0 {
-		return "global"
-	}
-	return r.LocationName(class - 1)
-}

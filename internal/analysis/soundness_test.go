@@ -60,10 +60,11 @@ func stripSrc(prog *ast.Program) string { return printer.Print(prog) }
 // analysis is designed around: for every bundled program, every data
 // race the dynamic detector finds on the canonical sequential execution
 // must be contained in the static candidate set, and its endpoints must
-// be statically may-happen-in-parallel (the property that makes
-// -static-prune a provable no-op). The test also requires that the
-// S-DPST→statement mapping actually resolved for most races, so the
-// conservative fall-through cannot quietly satisfy the assertion.
+// be statically may-happen-in-parallel (so pruning race groups the MHP
+// relation calls serial could never change a repair). The test also
+// requires that the S-DPST→statement mapping actually resolved for most
+// races, so the conservative fall-through cannot quietly satisfy the
+// assertion.
 func TestStaticCoversDynamic(t *testing.T) {
 	resolvedChecks := 0
 	for _, p := range soundnessCorpus(t) {

@@ -344,14 +344,6 @@ func (m *Meter) AddOps(n int64) error {
 	return nil
 }
 
-// Ops returns the cumulative interpreter work charged so far.
-func (m *Meter) Ops() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.ops.Load()
-}
-
 // AddDPStates charges n dynamic-programming states against the DP-state
 // budget, with the same periodic cancellation check as AddOps.
 func (m *Meter) AddDPStates(n int64) error {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"finishrepair/internal/cpl"
-	"finishrepair/internal/lang/ast"
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/printer"
 	"finishrepair/internal/lang/sem"
@@ -311,10 +310,4 @@ func RunStudy() (*StudyResult, error) {
 		}
 	}
 	return sr, nil
-}
-
-// Sanity re-exported helper: strip count for tests.
-func stripCount(src string) int {
-	prog := parser.MustParse(src)
-	return ast.StripFinishes(prog)
 }

@@ -39,22 +39,21 @@ var KnownMetrics = map[string]string{
 	"race.dual_queries":   "counter",
 
 	// repair: the test-driven finish-placement loop.
-	"repair.iterations":           "counter",
-	"repair.races_detected":       "counter",
-	"repair.finishes_inserted":    "counter",
-	"repair.degraded_placements":  "counter",
-	"repair.trace_replays":        "counter",
-	"repair.groups_pruned_serial": "counter",
-	"repair.dp_states":            "counter",
-	"repair.dp_states_per_group":  "histogram",
-	"repair.fallback_placements":  "counter",
-	"repair.graph_size":           "histogram",
-	"repair.stage_detect_ns":      "histogram",
-	"repair.stage_place_ns":       "histogram",
-	"repair.stage_rewrite_ns":     "histogram",
-	"repair.strategy_chosen":      "counter",
-	"repair.cpl_delta":            "histogram",
-	"repair.lock_classes":         "counter",
+	"repair.iterations":          "counter",
+	"repair.races_detected":      "counter",
+	"repair.finishes_inserted":   "counter",
+	"repair.degraded_placements": "counter",
+	"repair.trace_replays":       "counter",
+	"repair.dp_states":           "counter",
+	"repair.dp_states_per_group": "histogram",
+	"repair.fallback_placements": "counter",
+	"repair.graph_size":          "histogram",
+	"repair.stage_detect_ns":     "histogram",
+	"repair.stage_place_ns":      "histogram",
+	"repair.stage_rewrite_ns":    "histogram",
+	"repair.strategy_chosen":     "counter",
+	"repair.cpl_delta":           "histogram",
+	"repair.lock_classes":        "counter",
 
 	// analysis/commute: static commutativity recognition and the
 	// semantic order probe backing every "commutes" verdict.

@@ -3,8 +3,7 @@
 // grouping, DP placement, rewrite, verify — the stages of paper Fig. 6 —
 // plus vet and its vet/mhp, vet/effects, and vet/candidates children
 // when the static analyzer runs), a lock-cheap metrics registry
-// (including the vet.* diagnostic counters and
-// repair.groups_pruned_serial), and exporters for human text, JSONL
+// (including the vet.* diagnostic counters), and exporters for human text, JSONL
 // event logs, and Chrome trace_event JSON (chrome://tracing / Perfetto).
 //
 // The tracer is built around a nil fast path: a nil *Tracer and the nil

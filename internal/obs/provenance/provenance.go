@@ -78,10 +78,7 @@ type Group struct {
 	Edges    int      `json:"edges,omitempty"`
 	Fallback bool     `json:"fallback,omitempty"`
 	Applied  bool     `json:"applied"`
-	// PrunedSerial marks groups whose races were already serialized by a
-	// finish placed for an earlier group this iteration.
-	PrunedSerial bool   `json:"pruned_serial,omitempty"`
-	Note         string `json:"note,omitempty"`
+	Note     string   `json:"note,omitempty"`
 	// Strategy records the repair strategy chosen for this group
 	// ("finish" or "isolated") when the loop evaluated alternatives, and
 	// StrategyWhy the reason. FinishSpan/IsolatedSpan are the probed
@@ -170,7 +167,7 @@ type GapVerdictRec struct {
 type Explain struct {
 	Program    string      `json:"program,omitempty"`
 	Detector   string      `json:"detector,omitempty"` // "espbags", "vc", ...
-	Engine     string      `json:"engine,omitempty"`   // "replay", "reexecute"
+	Engine     string      `json:"engine,omitempty"`   // "replay", the only repair loop
 	Iterations []Iteration `json:"iterations"`
 	// Finishes is derived by Finalize: one entry per applied placement.
 	Finishes  []FinishEntry `json:"finishes"`

@@ -28,7 +28,7 @@ func sampleExplain() *Explain {
 						Applied:  true,
 					},
 					{LCA: Node{ID: 7}, Races: []RacePair{{Loc: "loc#2"}}, Applied: false, Note: "deferred"},
-					{LCA: Node{ID: 8}, PrunedSerial: true},
+					{LCA: Node{ID: 8}},
 				},
 			},
 		},

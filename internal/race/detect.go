@@ -38,10 +38,10 @@ type ShadowSizer interface {
 // Variant selects the detector flavor.
 type Variant int
 
-// Detector variants (paper §4.1).
+// Detector variants (paper §4.1). MRW is the zero value.
 const (
-	VariantSRW Variant = iota
-	VariantMRW
+	VariantMRW Variant = iota
+	VariantSRW
 )
 
 // String names the variant.
@@ -119,26 +119,13 @@ func Analyze(tr *trace.Trace, prog *ast.Program, fins []trace.FinishRange, det D
 	return rr, nil
 }
 
-// observeShadow records shadow-memory sizes per engine: a differential
-// run contributes one histogram sample per backend instead of
-// last-writer-wins.
-func observeShadow(det Detector) {
-	if d, ok := det.(*Differential); ok {
-		for _, c := range d.EngineShadowCells() {
-			mShadowCells.Observe(int64(c))
-		}
-		return
-	}
-	if s, ok := det.(ShadowSizer); ok {
-		mShadowCells.Observe(int64(s.ShadowCells()))
-	}
-}
-
 // observeAnalysis records the per-analysis metrics shared by the serial,
 // sharded, and streamed paths.
 func observeAnalysis(det Detector, rr *trace.Result, elapsed time.Duration) {
 	mAnalyzeNs.Observe(elapsed.Nanoseconds())
-	observeShadow(det)
+	if s, ok := det.(ShadowSizer); ok {
+		mShadowCells.Observe(int64(s.ShadowCells()))
+	}
 	mDetectRuns.Inc()
 	n := int64(len(det.Races()))
 	mRacesFound.Add(n)

@@ -9,16 +9,16 @@ import (
 // ----------------------------------------------------------------------
 // Dual oracle: ESP-Bags and vector clocks in lockstep over one scan.
 //
-// The serial differential engine (Differential) runs two complete
-// detectors — two shadow memories, two scans — and compares their race
-// sets afterwards. The fused engine below keeps the cross-check but
-// removes the duplicated shadow work: one MRW/SRW shadow memory is
-// scanned once, and every ordering query is answered by *both* backend
-// oracles, whose answers must agree. That is a strictly stronger
-// differential test (agreement is checked per query, over every access
-// pair the scan examines, not just on the final race sets) at roughly
-// half the shadow-memory cost, and it is what the sharded -j N analysis
-// path runs per shard.
+// Running two complete detectors — two shadow memories, two scans — and
+// comparing their race sets afterwards would double the shadow work.
+// The fused engine below keeps the cross-check without it: one MRW/SRW
+// shadow memory is scanned once, and every ordering query is answered
+// by *both* backend oracles, whose answers must agree. That is a
+// strictly stronger differential test (agreement is checked per query,
+// over every access pair the scan examines, not just on the final race
+// sets) at roughly half the shadow-memory cost. It is the engine behind
+// -detector both at every -j, and what the sharded -j N analysis path
+// runs per shard.
 
 // OracleDivergence records the first ordering query on which the two
 // backend oracles disagreed. Any divergence is a detector bug, never an
@@ -124,8 +124,8 @@ func (o *DualOracle) Release() {
 // Fused engine.
 
 // Checker is implemented by engines that cross-check detector backends
-// and can report a divergence after analysis (Differential by race-set
-// comparison, Fused by per-query agreement).
+// and can report a divergence after analysis (Fused, by per-query
+// agreement).
 type Checker interface {
 	Check() error
 }
@@ -135,9 +135,8 @@ type Checker interface {
 // both the ESP-Bags and vector-clock oracles in lockstep. Races() is
 // the single scan's result (identical to the serial primary engine's,
 // since the backends must agree); Check surfaces any query divergence
-// as a *DisagreementError. This is the engine behind -detector both
-// with -j N: AnalyzeParallel shards its scan across workers without
-// duplicating whole engines.
+// as a *DisagreementError. This is the engine behind -detector both;
+// with -j N, AnalyzeParallel shards its scan across workers.
 type Fused struct {
 	Detector
 	variant Variant
@@ -157,8 +156,7 @@ func NewFused(v Variant) *Fused {
 	return &Fused{Detector: New(v, d), variant: v, dual: d}
 }
 
-// Name identifies the fused engine; it is a drop-in for the serial
-// differential runner.
+// Name identifies the fused engine.
 func (f *Fused) Name() string { return "both" }
 
 // Variant reports the shadow-memory variant the engine was built with

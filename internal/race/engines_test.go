@@ -5,17 +5,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"finishrepair/internal/bench"
+	"finishrepair/internal/dpst"
 	"finishrepair/internal/guard"
 	"finishrepair/internal/lang/ast"
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/progen"
 	"finishrepair/internal/race"
+	"finishrepair/internal/trace"
 )
 
 // fuzzCorpusSeeds decodes the checked-in Go fuzz corpus: each file is
@@ -51,11 +54,58 @@ func fuzzCorpusSeeds(t *testing.T) map[string]string {
 	return seeds
 }
 
-// checkEnginesAgree captures src once and analyzes the trace with the
-// differential engine under both variants and both collapse policies;
-// any race-set disagreement between ESP-Bags and the vector-clock
-// engine fails. Programs that exceed the op budget (e.g. corpus seeds
-// with infinite loops) or fail semantic checks are skipped.
+// analyzeIndependently analyzes tr with two independent engines, an
+// ESP-Bags one and a vector-clock one (two shadow memories, two scans),
+// and compares their race sets: endpoint steps, location, access-pair
+// kind, and the NS-LCA group the repair would place a finish for. Both
+// engines see the same replayed tree, so node IDs are comparable. It
+// returns the ESP-Bags engine and a description of the first difference,
+// if any.
+func analyzeIndependently(t *testing.T, tr *trace.Trace, prog *ast.Program, v race.Variant, noCollapse bool) (race.Engine, string) {
+	t.Helper()
+	type sig struct {
+		src, dst, nslca int
+		loc             uint64
+		kind            race.Kind
+	}
+	var engs [2]race.Engine
+	var sigs [2]map[sig]bool
+	for i, k := range []race.EngineKind{race.EngineESPBags, race.EngineVC} {
+		engs[i] = race.NewEngine(k, v)
+		if _, err := race.Analyze(tr, prog, nil, engs[i], nil, noCollapse); err != nil {
+			t.Fatalf("%s (%s, noCollapse=%v): %v", engs[i].Name(), v, noCollapse, err)
+		}
+		sigs[i] = map[sig]bool{}
+		for _, r := range engs[i].Races() {
+			s := sig{src: r.Src.ID, dst: r.Dst.ID, loc: r.Loc, kind: r.Kind}
+			if l := dpst.NSLCA(r.Src, r.Dst); l != nil {
+				s.nslca = l.ID
+			}
+			sigs[i][s] = true
+		}
+	}
+	var diffs []string
+	for i := range sigs {
+		for s := range sigs[i] {
+			if !sigs[1-i][s] {
+				diffs = append(diffs, fmt.Sprintf("%s: step %d -> step %d @loc %d (nslca %d) [%s only]",
+					s.kind, s.src, s.dst, s.loc, s.nslca, engs[i].Name()))
+			}
+		}
+	}
+	if len(diffs) == 0 {
+		return engs[0], ""
+	}
+	sort.Strings(diffs)
+	return engs[0], fmt.Sprintf("espbags found %d race(s), vc found %d; %s",
+		len(engs[0].Races()), len(engs[1].Races()), diffs[0])
+}
+
+// checkEnginesAgree captures src once and analyzes the trace with
+// independent ESP-Bags and vector-clock engines under both variants and
+// both collapse policies; any race-set disagreement fails. Programs that
+// exceed the op budget (e.g. corpus seeds with infinite loops) or fail
+// semantic checks are skipped.
 func checkEnginesAgree(t *testing.T, name, src string) {
 	t.Helper()
 	prog, err := parser.Parse(src)
@@ -75,13 +125,8 @@ func checkEnginesAgree(t *testing.T, name, src string) {
 	}
 	for _, v := range []race.Variant{race.VariantSRW, race.VariantMRW} {
 		for _, noCollapse := range []bool{false, true} {
-			eng := race.NewEngine(race.EngineBoth, v)
-			if _, err := race.Analyze(tr, info.Prog, nil, eng, nil, noCollapse); err != nil {
-				t.Fatalf("%s (%s, noCollapse=%v): %v", name, v, noCollapse, err)
-			}
-			d := eng.(*race.Differential)
-			if err := d.Check(); err != nil {
-				t.Errorf("%s (%s, noCollapse=%v): %v", name, v, noCollapse, err)
+			if _, diff := analyzeIndependently(t, tr, info.Prog, v, noCollapse); diff != "" {
+				t.Errorf("%s (%s, noCollapse=%v): %s", name, v, noCollapse, diff)
 			}
 		}
 	}

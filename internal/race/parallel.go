@@ -11,8 +11,7 @@ import (
 // effectiveShards clamps a -j request to the machine: sharding the
 // shadow memory across more workers than cores only adds demux and
 // handoff overhead. On a single-core box every -j value degrades to the
-// serial fused scan, which is already strictly cheaper than the legacy
-// two-engine differential.
+// serial fused scan.
 func effectiveShards(workers int) int {
 	if n := runtime.GOMAXPROCS(0); workers > n {
 		workers = n

@@ -25,10 +25,11 @@ func raceFingerprint(det race.Detector) []string {
 	return out
 }
 
-// TestAnalyzeParallelMatchesSerial runs the differential engine over the
-// same captured trace serially and with engine-level parallelism and
-// requires identical race sets: the concurrent replays must not perturb
-// detection, and the cross-check must still pass on both.
+// TestAnalyzeParallelMatchesSerial runs the both engine (a *race.Fused
+// at every worker count) over the same captured trace serially and with
+// analysis parallelism and requires identical race sets: the sharded
+// scan must not perturb detection, and the cross-check must still pass
+// on both.
 func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
@@ -52,7 +53,7 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 			if _, err := race.Analyze(tr, info.Prog, nil, serial, nil, false); err != nil {
 				t.Fatal(err)
 			}
-			if err := serial.(*race.Differential).Check(); err != nil {
+			if err := serial.(*race.Fused).Check(); err != nil {
 				t.Fatalf("serial cross-check: %v", err)
 			}
 			want := raceFingerprint(serial)
@@ -61,7 +62,7 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 			if _, err := race.AnalyzeParallel(tr, info.Prog, nil, par, nil, false, 4); err != nil {
 				t.Fatal(err)
 			}
-			if err := par.(*race.Differential).Check(); err != nil {
+			if err := par.(*race.Fused).Check(); err != nil {
 				t.Fatalf("parallel cross-check: %v", err)
 			}
 			got := raceFingerprint(par)
@@ -81,8 +82,8 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestAnalyzeParallelFallsThrough checks that a non-differential engine
-// or a worker count of 1 takes the serial path and still detects.
+// TestAnalyzeParallelFallsThrough checks that a single-oracle engine or
+// a worker count of 1 takes the serial path and still detects.
 func TestAnalyzeParallelFallsThrough(t *testing.T) {
 	b := bench.Get("Mergesort")
 	prog, err := parser.Parse(b.Src(b.RepairSize))

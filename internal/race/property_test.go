@@ -10,10 +10,13 @@ import (
 	"testing"
 
 	"finishrepair/internal/dpst"
+	"finishrepair/internal/lang/ast"
 	"finishrepair/internal/lang/parser"
+	"finishrepair/internal/lang/printer"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/progen"
 	"finishrepair/internal/race"
+	"finishrepair/internal/repair"
 )
 
 func raceSet(t *testing.T, src string, v race.Variant, o race.Oracle) map[string]bool {
@@ -22,13 +25,18 @@ func raceSet(t *testing.T, src string, v race.Variant, o race.Oracle) map[string
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, src)
 	}
+	return progRaceSet(t, prog, v, o)
+}
+
+func progRaceSet(t *testing.T, prog *ast.Program, v race.Variant, o race.Oracle) map[string]bool {
+	t.Helper()
 	info, err := sem.Check(prog)
 	if err != nil {
-		t.Fatalf("check: %v\n%s", err, src)
+		t.Fatalf("check: %v\n%s", err, printer.Print(prog))
 	}
 	_, _, det, err := race.Detect(info, v, o)
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, src)
+		t.Fatalf("run: %v\n%s", err, printer.Print(prog))
 	}
 	set := make(map[string]bool)
 	for _, r := range det.Races() {
@@ -58,22 +66,45 @@ func TestOraclesAgreeOnRandomPrograms(t *testing.T) {
 }
 
 // Property: every race SRW reports is also reported by MRW (SRW keeps a
-// subset of the access history).
+// subset of the access history), and SRW is empty iff MRW is: the
+// detectors agree on race freedom (the ESP-Bags soundness/completeness
+// guarantee). Besides generated programs, the inputs include isolated
+// accesses next to plain ones: the two literal programs, and generated
+// commutative reductions repaired with -strategy auto and stripped of
+// finishes again, which leaves their isolated wrappers (under their
+// inferred lock classes) racing with the rest.
 func TestSRWSubsetOfMRW(t *testing.T) {
-	cfg := progen.Default()
+	type input struct {
+		name string
+		prog *ast.Program
+	}
+	inputs := []input{
+		{"iso-after-plain", parser.MustParse(`var x = 0; func main() { async { x = x + 1; isolated { x = x + 2; } } isolated { x = x + 3; } println(x); }`)},
+		{"iso-write-pair", parser.MustParse(`var x = 0; func main() { async { isolated { x = 1; } } isolated { x = 2; } println(x); }`)},
+	}
 	for seed := int64(100); seed < 200; seed++ {
-		src := progen.Gen(seed, cfg)
-		srw := raceSet(t, src, race.VariantSRW, race.NewBagsOracle())
-		mrw := raceSet(t, src, race.VariantMRW, race.NewBagsOracle())
+		inputs = append(inputs, input{fmt.Sprintf("progen-%d", seed), parser.MustParse(progen.Gen(seed, progen.Default()))})
+	}
+	commute := progen.Default()
+	commute.Commute = true
+	for seed := int64(1); seed <= 300; seed++ {
+		prog := parser.MustParse(progen.Gen(seed, commute))
+		if _, err := repair.Repair(prog, repair.Options{Variant: race.VariantMRW, Strategy: repair.StrategyAuto}); err != nil {
+			t.Fatalf("progen-commute-%d: repair: %v", seed, err)
+		}
+		ast.StripFinishes(prog)
+		inputs = append(inputs, input{fmt.Sprintf("progen-commute-%d", seed), prog})
+	}
+	for _, in := range inputs {
+		srw := progRaceSet(t, in.prog, race.VariantSRW, race.NewBagsOracle())
+		mrw := progRaceSet(t, in.prog, race.VariantMRW, race.NewBagsOracle())
 		for k := range srw {
 			if !mrw[k] {
-				t.Fatalf("seed %d: SRW race %s missing from MRW\n%s", seed, k, src)
+				t.Errorf("%s: SRW race %s missing from MRW\n%s", in.name, k, printer.Print(in.prog))
 			}
 		}
-		// And SRW is empty iff MRW is: the detectors agree on race
-		// freedom (the ESP-Bags soundness/completeness guarantee).
 		if (len(srw) == 0) != (len(mrw) == 0) {
-			t.Fatalf("seed %d: SRW=%d MRW=%d disagree on race freedom", seed, len(srw), len(mrw))
+			t.Errorf("%s: SRW=%d MRW=%d disagree on race freedom\n%s", in.name, len(srw), len(mrw), printer.Print(in.prog))
 		}
 	}
 }

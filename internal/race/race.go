@@ -164,9 +164,41 @@ func isoOrdered(a, b trace.Site) bool {
 	return a.Iso && b.Iso && (a.IsoClass == 0 || b.IsoClass == 0 || a.IsoClass == b.IsoClass)
 }
 
-type srwCell struct {
+// srwSlots is one isolation group's reader and writer slot.
+type srwSlots struct {
 	reader access
 	writer access
+}
+
+// srwIsoSlots is the slot pair of the isolated accesses under one lock
+// class.
+type srwIsoSlots struct {
+	class int32
+	srwSlots
+}
+
+// srwCell keeps one slot pair per isolation group of a location: plain
+// accesses form one group, held inline, and isolated accesses form one
+// group per lock class. Whether isolation suppresses a race depends only
+// on the two accesses' groups (isoOrdered), so replacing a slot's
+// occupant stays sound within a group. One pair for all accesses is
+// not: an isolated access could evict the one access a later access
+// races with, while the pair it forms with that occupant is suppressed.
+type srwCell struct {
+	srwSlots
+	iso []srwIsoSlots
+}
+
+// isoSlots returns the cell's slot pair for isolated accesses of lock
+// class class, adding it on first use.
+func (c *srwCell) isoSlots(class int32) *srwSlots {
+	for i := range c.iso {
+		if c.iso[i].class == class {
+			return &c.iso[i].srwSlots
+		}
+	}
+	c.iso = append(c.iso, srwIsoSlots{class: class})
+	return &c.iso[len(c.iso)-1].srwSlots
 }
 
 // SRW is the single reader-writer detector.
@@ -198,36 +230,57 @@ func (d *SRW) cell(loc uint64) *srwCell {
 	return &d.slab[len(d.slab)-1]
 }
 
+// check reports a race of the given kind between the slot's occupant
+// and the current access by step, unless they are ordered by the task
+// structure or by an isolated lock.
+func (d *SRW) check(occ *access, step *dpst.Node, loc uint64, kind Kind, site trace.Site) {
+	if occ.step != nil && occ.step != step &&
+		!d.oracle.Ordered(occ.tag, occ.step, step) &&
+		!isoOrdered(occ.site, site) {
+		d.rec.report(occ.step, step, loc, kind, occ.site, site)
+	}
+}
+
+// keepParallel records the current access in slot unless the occupant
+// is still parallel to it (the SP-bags reader update rule): the slot
+// keeps pointing at a still-parallel access.
+func (d *SRW) keepParallel(slot *access, step *dpst.Node, site trace.Site) {
+	if slot.step == nil || d.oracle.Ordered(slot.tag, slot.step, step) {
+		*slot = access{step: step, tag: d.oracle.Tag(), site: site}
+	}
+}
+
 // Read handles a read of loc by step.
 func (d *SRW) Read(loc uint64, step *dpst.Node, site trace.Site) {
 	c := d.cell(loc)
-	if c.writer.step != nil && c.writer.step != step &&
-		!d.oracle.Ordered(c.writer.tag, c.writer.step, step) &&
-		!isoOrdered(c.writer.site, site) {
-		d.rec.report(c.writer.step, step, loc, WriteRead, c.writer.site, site)
+	d.check(&c.writer, step, loc, WriteRead, site)
+	for i := range c.iso {
+		d.check(&c.iso[i].writer, step, loc, WriteRead, site)
 	}
-	// Keep the reader slot pointing at a still-parallel reader: replace
-	// it only when the recorded reader has become ordered (the SP-bags
-	// update rule).
-	if c.reader.step == nil || d.oracle.Ordered(c.reader.tag, c.reader.step, step) {
-		c.reader = access{step: step, tag: d.oracle.Tag(), site: site}
+	slots := &c.srwSlots
+	if site.Iso {
+		slots = c.isoSlots(site.IsoClass)
 	}
+	d.keepParallel(&slots.reader, step, site)
 }
 
 // Write handles a write of loc by step.
 func (d *SRW) Write(loc uint64, step *dpst.Node, site trace.Site) {
 	c := d.cell(loc)
-	if c.writer.step != nil && c.writer.step != step &&
-		!d.oracle.Ordered(c.writer.tag, c.writer.step, step) &&
-		!isoOrdered(c.writer.site, site) {
-		d.rec.report(c.writer.step, step, loc, WriteWrite, c.writer.site, site)
+	d.check(&c.writer, step, loc, WriteWrite, site)
+	d.check(&c.reader, step, loc, ReadWrite, site)
+	for i := range c.iso {
+		d.check(&c.iso[i].writer, step, loc, WriteWrite, site)
+		d.check(&c.iso[i].reader, step, loc, ReadWrite, site)
 	}
-	if c.reader.step != nil && c.reader.step != step &&
-		!d.oracle.Ordered(c.reader.tag, c.reader.step, step) &&
-		!isoOrdered(c.reader.site, site) {
-		d.rec.report(c.reader.step, step, loc, ReadWrite, c.reader.site, site)
+	if !site.Iso {
+		c.writer = access{step: step, tag: d.oracle.Tag(), site: site}
+		return
 	}
-	c.writer = access{step: step, tag: d.oracle.Tag(), site: site}
+	// Parallel members of one isolated group never race with each other,
+	// so a parallel writer must not evict the occupant either: only the
+	// occupant is there for later accesses of other groups to race with.
+	d.keepParallel(&c.isoSlots(site.IsoClass).writer, step, site)
 }
 
 // TaskStart forwards to the oracle.
@@ -491,8 +544,6 @@ func rawReports(det Detector) int {
 		return rawReports(d.Detector)
 	case namedEngine:
 		return rawReports(d.Detector)
-	case *Differential:
-		return rawReports(d.primary)
 	case reportLogger:
 		return d.log().len()
 	}

@@ -42,10 +42,11 @@ func seqFingerprint(det race.Detector) []string {
 	return out
 }
 
-// TestFusedMatchesDifferential checks that the fused dual-oracle engine
-// reports exactly the races the legacy two-engine differential pair
-// does on every benchmark program, with a clean per-query cross-check.
-func TestFusedMatchesDifferential(t *testing.T) {
+// TestFusedMatchesIndependentEngines checks that the fused dual-oracle
+// engine reports exactly the races of independently run ESP-Bags and
+// vector-clock engines on every benchmark program, with a clean
+// per-query cross-check.
+func TestFusedMatchesIndependentEngines(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -64,12 +65,9 @@ func TestFusedMatchesDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, v := range []race.Variant{race.VariantSRW, race.VariantMRW} {
-				legacy := race.NewEngine(race.EngineBoth, v)
-				if _, err := race.Analyze(tr, info.Prog, nil, legacy, nil, false); err != nil {
-					t.Fatal(err)
-				}
-				if err := legacy.(*race.Differential).Check(); err != nil {
-					t.Fatalf("legacy cross-check (%s): %v", v, err)
+				bags, diff := analyzeIndependently(t, tr, info.Prog, v, false)
+				if diff != "" {
+					t.Fatalf("independent engines disagree (%s): %s", v, diff)
 				}
 				fused := race.NewFused(v)
 				if _, err := race.Analyze(tr, info.Prog, nil, fused, nil, false); err != nil {
@@ -78,12 +76,12 @@ func TestFusedMatchesDifferential(t *testing.T) {
 				if err := fused.Check(); err != nil {
 					t.Fatalf("fused cross-check (%s): %v", v, err)
 				}
-				want, got := seqFingerprint(legacy), seqFingerprint(fused)
+				want, got := seqFingerprint(bags), seqFingerprint(fused)
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("race streams differ (%s):\nlegacy %v\nfused  %v", v, want, got)
+					t.Fatalf("race streams differ (%s):\nespbags %v\nfused   %v", v, want, got)
 				}
 				fused.Release()
-				if r, ok := legacy.(race.Releaser); ok {
+				if r, ok := bags.(race.Releaser); ok {
 					r.Release()
 				}
 			}

@@ -53,7 +53,7 @@ func TestDebugMergesortGroups(t *testing.T) {
 	groups := groupByNSLCA(det.Races())
 	for _, g := range groups {
 		nodes := dpst.NonScopeChildren(g.lca)
-		ps, _, err := placeGroup(g, 1200, nil)
+		ps, _, err := placeGroup(g, nil)
 		if err != nil {
 			t.Fatalf("placeGroup: %v", err)
 		}
@@ -103,7 +103,7 @@ func TestDebugPlacements(t *testing.T) {
 			dc := dpst.NonScopeChildOn(g.lca, r.Dst)
 			t.Logf("  race %v: %v -> %v", r, sc, dc)
 		}
-		ps, _, err := placeGroup(g, 1200, nil)
+		ps, _, err := placeGroup(g, nil)
 		if err != nil {
 			t.Fatalf("placeGroup: %v", err)
 		}

@@ -277,13 +277,16 @@ type placeInfo struct {
 	Fallback bool
 }
 
+// maxGraph bounds the dependence-graph size handled by the O(n^3) DP;
+// larger graphs use the sound fallback placement.
+const maxGraph = 1200
+
 // placeGroup computes the placements for one NS-LCA group: dependence
 // graph construction (§5.1), the DP (§5.2), and the bottom-up mapping to
-// AST coordinates. maxGraph bounds the DP size; larger graphs use the
-// sound fallback of wrapping each race source child in its own finish.
-// Budget trips and cancellations inside the DP surface as the meter's
-// typed errors.
-func placeGroup(g *group, maxGraph int, m *guard.Meter) ([]Placement, placeInfo, error) {
+// AST coordinates. Graphs over maxGraph use the sound fallback of
+// wrapping each race source child in its own finish. Budget trips and
+// cancellations inside the DP surface as the meter's typed errors.
+func placeGroup(g *group, m *guard.Meter) ([]Placement, placeInfo, error) {
 	var info placeInfo
 	nodes, edges, err := depGraph(g)
 	if err != nil {

@@ -90,7 +90,7 @@ func SolveAll(probs []*Problem, workers int) ([]*Solution, error) {
 // may substitute an alternative repair (isolated wrapping); it runs in
 // the sequential accumulation pass, in group order, so strategy choice
 // is identical for any worker count.
-func placeGroups(groups []*group, maxGraph int, m *guard.Meter, workers int, span *obs.Span, selector func(*group, []Placement) ([]Placement, *strategyChoice)) (placements []Placement, outcomes []groupOutcome, states int64, degradedReason string, err error) {
+func placeGroups(groups []*group, m *guard.Meter, workers int, span *obs.Span, selector func(*group, []Placement) ([]Placement, *strategyChoice)) (placements []Placement, outcomes []groupOutcome, states int64, degradedReason string, err error) {
 	type result struct {
 		ps      []Placement
 		info    placeInfo
@@ -108,7 +108,7 @@ func placeGroups(groups []*group, maxGraph int, m *guard.Meter, workers int, spa
 			r.ps, r.err = degradeGroup(g)
 			return
 		}
-		ps, info, serr := placeGroup(g, maxGraph, m)
+		ps, info, serr := placeGroup(g, m)
 		r.info = info
 		var bx *guard.BudgetExceededError
 		if errors.As(serr, &bx) &&

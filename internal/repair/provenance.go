@@ -108,16 +108,6 @@ func provGroup(o groupOutcome) provenance.Group {
 	return g
 }
 
-// provPruned converts an NS-LCA group skipped as statically serial.
-func provPruned(g *group) provenance.Group {
-	return provenance.Group{
-		LCA:          provNode(g.lca),
-		Races:        provRaces(g.races),
-		PrunedSerial: true,
-		Note:         "no race pair may run in parallel per the static MHP oracle",
-	}
-}
-
 // provCPL measures the tree's critical path for the explain record.
 // Returns nil when the tree is absent (a failed round).
 func provCPL(t *dpst.Tree) *provenance.CPL {

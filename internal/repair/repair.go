@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"finishrepair/internal/dpst"
 	"finishrepair/internal/faults"
 	"finishrepair/internal/guard"
 	"finishrepair/internal/interp"
@@ -25,7 +24,6 @@ var (
 	mInserted     = obs.Default().Counter("repair.finishes_inserted")
 	mDegraded     = obs.Default().Counter("repair.degraded_placements")
 	mTraceReplays = obs.Default().Counter("repair.trace_replays")
-	mPrunedSerial = obs.Default().Counter("repair.groups_pruned_serial")
 	// Per-iteration stage latency distributions, mirroring the
 	// Iteration.DetectTime/PlaceTime/RewriteTime fields.
 	mStageDetectNs  = obs.Default().Histogram("repair.stage_detect_ns")
@@ -40,9 +38,6 @@ type Options struct {
 	Variant race.Variant
 	// MaxIterations bounds repair/re-detect rounds (default 10).
 	MaxIterations int
-	// MaxGraph bounds the dependence-graph size handled by the O(n^3)
-	// DP; larger graphs use the sound fallback placement (default 1200).
-	MaxGraph int
 	// UseTraceFiles round-trips detected races through the binary trace
 	// encoding, mirroring the paper's detector/analyzer file boundary
 	// (default true).
@@ -60,35 +55,23 @@ type Options struct {
 	// means unlimited and never canceled.
 	Meter *guard.Meter
 	// Engine selects the race-detector backend (default ESP-Bags).
-	// EngineBoth cross-checks ESP-Bags against the vector-clock engine on
-	// every analysis and fails the repair with a *race.DisagreementError
-	// if they ever disagree.
+	// EngineBoth runs the fused engine: one shadow scan whose every
+	// ordering query both the ESP-Bags and the vector-clock oracle
+	// answer, failing the repair with a *race.DisagreementError on the
+	// first query they disagree on.
 	Engine race.EngineKind
-	// ReExecute forces the legacy loop that re-executes the instrumented
-	// program on every iteration instead of capturing the event trace
-	// once and replaying it with virtual finish scopes. It exists for
-	// differential testing of the two paths and ignores Engine.
-	ReExecute bool
-	// Workers bounds the analysis parallelism: with Engine Both the two
-	// detector engines analyze the captured trace concurrently, and the
-	// independent per-NS-LCA placement problems are solved on a worker
-	// pool of this size. Results are accumulated in deterministic NS-LCA
-	// order, so the repaired program is byte-identical for any worker
-	// count. 0 or 1 is fully sequential.
+	// Workers bounds the analysis parallelism: with Engine Both the fused
+	// scan is sharded across this many workers, and the independent
+	// per-NS-LCA placement problems are solved on a worker pool of this
+	// size. Results are accumulated in deterministic NS-LCA order, so the
+	// repaired program is byte-identical for any worker count. 0 or 1 is
+	// fully sequential.
 	Workers int
 	// OnRaces, when set, observes every detection round's race list
 	// before any grouping or rewriting. The static-analysis integration
 	// uses it to mark which static race candidates the test execution
 	// actually exercised (the coverage-gap report of hjrepair -vet).
 	OnRaces func([]*race.Race)
-	// MHP, when set, is a conservative may-happen-in-parallel oracle
-	// over S-DPST nodes. NS-LCA groups none of whose race pairs may run
-	// in parallel statically are skipped before placement. Because a
-	// sound oracle can never rule out a dynamically detected race, the
-	// filter is a provable no-op on outputs; it exists to skip placement
-	// work when a sound-but-incomplete oracle is supplied, and is
-	// exercised as a cross-check of the static analysis.
-	MHP func(src, dst *dpst.Node) bool
 	// Explain, when non-nil, receives the structured provenance of the
 	// repair: per iteration, the detected race pairs, their NS-LCA
 	// groups, the DP placement decisions, and the tree's critical path.
@@ -98,19 +81,8 @@ type Options struct {
 	// Strategy selects how race groups are eliminated: finish insertion
 	// (the zero value — the paper's repair and the library default),
 	// isolated wrapping of commutative updates, or per-group automatic
-	// choice by post-repair critical path. Strategies other than finish
-	// are evaluated only by the trace-replay loop; ReExecute ignores
-	// this field and always inserts finishes.
+	// choice by post-repair critical path.
 	Strategy Strategy
-}
-
-func (o *Options) fill() {
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 10
-	}
-	if o.MaxGraph == 0 {
-		o.MaxGraph = 1200
-	}
 }
 
 // AppliedRange is a scope insertion that was actually applied, in
@@ -201,241 +173,16 @@ func (e *MaxIterationsError) Error() string {
 
 // Repair runs the test-driven repair loop on prog, mutating it in place:
 // detect races on the canonical execution, compute finish placements,
-// and repeat until a detection run is race-free. The default loop
-// executes the instrumented program exactly once — iteration 0 captures
-// the event-trace IR — and every later round replays that trace with
-// the accumulated finish scopes injected virtually; the AST is
-// rewritten once on exit. Options.ReExecute selects the legacy loop
-// that re-executes and rewrites on every iteration.
+// and repeat until a detection round is race-free. The instrumented
+// program executes exactly once: iteration 0 semantics-checks it and
+// records the event-trace IR, and every detection round (including the
+// first) replays that trace into a detector engine, with the finish
+// scopes accumulated so far injected virtually. The program text is
+// only touched once, on exit, when the accumulated scope set is applied.
 func Repair(prog *ast.Program, opts Options) (*Report, error) {
-	opts.fill()
-	if opts.ReExecute {
-		return repairReExecute(prog, opts)
+	if opts.MaxIterations == 0 {
+		opts.MaxIterations = 10
 	}
-	return repairReplay(prog, opts)
-}
-
-// repairReExecute is the legacy loop: every iteration re-runs the
-// instrumented program on the rewritten AST.
-func repairReExecute(prog *ast.Program, opts Options) (*Report, error) {
-	rep := &Report{}
-	root := opts.ParentSpan.Child("repair")
-	if opts.ParentSpan == nil {
-		root = opts.Tracer.Start("repair")
-	}
-	defer func() {
-		root.SetInt("iterations", int64(len(rep.Iterations))).
-			SetInt("races_total", int64(rep.TotalRaces())).
-			SetInt("finishes_inserted", int64(rep.Inserted)).
-			End()
-	}()
-	for iter := 0; ; iter++ {
-		if iter >= opts.MaxIterations {
-			remaining := 0
-			if n := len(rep.Iterations); n > 0 {
-				remaining = rep.Iterations[n-1].Races
-			}
-			return rep, &MaxIterationsError{Iterations: iter, RemainingRaces: remaining}
-		}
-		// Cancellation gate between rounds; the phases below also check
-		// from their own hot loops.
-		opts.Meter.SetPhase("repair")
-		if err := opts.Meter.Check(); err != nil {
-			return rep, err
-		}
-		mIterations.Inc()
-		iterSpan := root.Child("iteration").SetInt("n", int64(iter))
-		iterErr := func(err error) (*Report, error) {
-			iterSpan.SetStr("error", err.Error()).End()
-			return rep, err
-		}
-
-		semSpan := iterSpan.Child("sem-check")
-		info, err := sem.Check(prog)
-		semSpan.End()
-		if err != nil {
-			return iterErr(fmt.Errorf("repair: program invalid after rewrite: %w", err))
-		}
-
-		detSpan := iterSpan.Child("detect").SetStr("variant", opts.Variant.String())
-		t0 := time.Now()
-		var res *interp.Result
-		var tree *dpst.Tree
-		var det race.Detector
-		err = guard.Protect("detect", func() error {
-			var err error
-			res, tree, det, err = race.DetectWith(info, opts.Variant, race.NewBagsOracle(), opts.Meter)
-			return err
-		})
-		if err != nil {
-			detSpan.End()
-			return iterErr(fmt.Errorf("repair: execution failed: %w", err))
-		}
-		detectTime := time.Since(t0)
-		mStageDetectNs.Observe(detectTime.Nanoseconds())
-		if len(det.Races()) == 0 {
-			// The race-free confirmation round is the paper's "verify"
-			// stage (Fig. 6); rename so traces show it as such.
-			detSpan.Rename("verify")
-		}
-		detSpan.SetInt("races", int64(len(det.Races()))).
-			SetInt("sdpst_nodes", int64(tree.NumNodes())).
-			End()
-
-		t1 := time.Now()
-		races := det.Races()
-		mRacesFound.Add(int64(len(races)))
-		if opts.UseTraceFiles {
-			ioSpan := iterSpan.Child("trace-io")
-			var buf bytes.Buffer
-			err = guard.Protect("trace-io", func() error {
-				opts.Meter.SetPhase("trace-io")
-				if err := faults.Inject(faults.TraceIO); err != nil {
-					return err
-				}
-				if err := race.WriteTrace(&buf, races); err != nil {
-					return err
-				}
-				rep.TraceBytes += buf.Len()
-				var rerr error
-				races, rerr = race.ReadTrace(&buf, tree)
-				return rerr
-			})
-			ioSpan.SetInt("trace_bytes", int64(buf.Len())).End()
-			if err != nil {
-				return iterErr(err)
-			}
-		}
-
-		if opts.OnRaces != nil {
-			opts.OnRaces(races)
-		}
-		it := Iteration{
-			Races:      len(races),
-			SDPSTNodes: tree.NumNodes(),
-			DetectTime: detectTime,
-		}
-		if len(races) == 0 {
-			it.RepairTime = time.Since(t1)
-			rep.Iterations = append(rep.Iterations, it)
-			rep.Output = res.Output
-			if opts.Explain != nil {
-				opts.Explain.Iterations = append(opts.Explain.Iterations,
-					provenance.Iteration{N: iter, CPL: provCPL(tree)})
-				opts.Explain.Converged = true
-				opts.Explain.Degraded = rep.DegradedReason
-			}
-			iterSpan.SetInt("races", 0).End()
-			return rep, nil
-		}
-
-		tPlace := time.Now()
-		groupSpan := iterSpan.Child("group-nslca")
-		var groups, prunedGroups []*group
-		err = guard.Protect("group-nslca", func() error {
-			opts.Meter.SetPhase("group-nslca")
-			if err := faults.Inject(faults.GroupNSLCA); err != nil {
-				return err
-			}
-			groups = groupByNSLCA(races)
-			if opts.MHP != nil {
-				groups, prunedGroups = pruneSerialGroups(groups, opts.MHP)
-			}
-			return nil
-		})
-		groupSpan.SetInt("groups", int64(len(groups))).End()
-		if err != nil {
-			return iterErr(err)
-		}
-		it.NSLCAs = len(groups)
-		// Paper §6 steps 3(d)-(f): placements inserted for an earlier
-		// NS-LCA can fix later groups' races (recursive programs visit
-		// the same static code at many dynamic nodes, and skewed
-		// instances may prefer a different — overlapping — placement).
-		// We therefore accept a group's placements only when they are
-		// identical to or disjoint from those already chosen; skipped
-		// groups are re-examined by the next detection run, which sees
-		// the updated program.
-		placeSpan := iterSpan.Child("dp-place")
-		var placements []Placement
-		var outcomes []groupOutcome
-		err = guard.Protect("dp-place", func() error {
-			opts.Meter.SetPhase("dp-place")
-			if err := faults.Inject(faults.DPPlace); err != nil {
-				return err
-			}
-			var reason string
-			var perr error
-			placements, outcomes, it.DPStates, reason, perr = placeGroups(groups, opts.MaxGraph, opts.Meter, opts.Workers, placeSpan, nil)
-			if reason != "" {
-				rep.Degraded = true
-				if rep.DegradedReason == "" {
-					rep.DegradedReason = reason
-				}
-			}
-			return perr
-		})
-		placeSpan.SetInt("dp_states", it.DPStates).
-			SetInt("placements", int64(len(placements))).
-			End()
-		if err != nil {
-			return iterErr(err)
-		}
-		it.PlaceTime = time.Since(tPlace)
-		mStagePlaceNs.Observe(it.PlaceTime.Nanoseconds())
-		if opts.Explain != nil {
-			pit := provenance.Iteration{N: iter, Races: provRaces(races), CPL: provCPL(tree)}
-			for _, o := range outcomes {
-				pit.Groups = append(pit.Groups, provGroup(o))
-			}
-			for _, pg := range prunedGroups {
-				pit.Groups = append(pit.Groups, provPruned(pg))
-			}
-			opts.Explain.Iterations = append(opts.Explain.Iterations, pit)
-		}
-		if len(placements) == 0 {
-			return iterErr(fmt.Errorf("repair: %d races but no placements computed", len(races)))
-		}
-
-		tRewrite := time.Now()
-		rewriteSpan := iterSpan.Child("rewrite")
-		var applied []AppliedRange
-		err = guard.Protect("rewrite", func() error {
-			opts.Meter.SetPhase("rewrite")
-			if err := faults.Inject(faults.Rewrite); err != nil {
-				return err
-			}
-			var rerr error
-			applied, rerr = applyPlacements(prog, placements)
-			return rerr
-		})
-		if err != nil {
-			rewriteSpan.End()
-			return iterErr(err)
-		}
-		inserted := len(applied)
-		rewriteSpan.SetInt("finishes_inserted", int64(inserted)).End()
-		it.RewriteTime = time.Since(tRewrite)
-		mStageRewriteNs.Observe(it.RewriteTime.Nanoseconds())
-		mInserted.Add(int64(inserted))
-		it.Placements = inserted
-		it.Applied = applied
-		it.RepairTime = time.Since(t1)
-		rep.Inserted += inserted
-		rep.Iterations = append(rep.Iterations, it)
-		iterSpan.SetInt("races", int64(it.Races)).
-			SetInt("finishes_inserted", int64(inserted)).
-			End()
-	}
-}
-
-// repairReplay is the capture-once/analyze-many loop. Iteration 0
-// semantics-checks the program and records the event-trace IR from one
-// instrumented execution; every detection round (including the first)
-// replays that trace into a detector engine, with the finish scopes
-// accumulated so far injected virtually. The program text is only
-// touched once, on exit, when the accumulated scope set is applied.
-func repairReplay(prog *ast.Program, opts Options) (*Report, error) {
 	rep := &Report{}
 	root := opts.ParentSpan.Child("repair")
 	if opts.ParentSpan == nil {
@@ -488,8 +235,7 @@ func repairReplay(prog *ast.Program, opts Options) (*Report, error) {
 			if n := len(rep.Iterations); n > 0 {
 				remaining = rep.Iterations[n-1].Races
 			}
-			// Mirror the legacy loop, which leaves partial repairs
-			// applied when the bound trips.
+			// Leave the partial repair applied when the bound trips.
 			if err := finish(); err != nil {
 				return rep, err
 			}
@@ -503,8 +249,7 @@ func repairReplay(prog *ast.Program, opts Options) (*Report, error) {
 		mIterations.Inc()
 		iterSpan := root.Child("iteration").SetInt("n", int64(iter))
 		iterErr := func(err error) (*Report, error) {
-			// Keep prog in the same state the legacy loop would leave it:
-			// scopes committed by completed iterations are applied.
+			// Scopes committed by completed iterations stay applied.
 			_ = finish()
 			iterSpan.SetStr("error", err.Error()).End()
 			return rep, err
@@ -545,7 +290,7 @@ func repairReplay(prog *ast.Program, opts Options) (*Report, error) {
 			}
 		}
 
-		eng := newRepairEngine(opts)
+		eng := race.NewEngine(opts.Engine, opts.Variant)
 		analyzeParent := detSpan
 		var replaySpan *obs.Span
 		if iter > 0 {
@@ -665,16 +410,13 @@ func repairReplay(prog *ast.Program, opts Options) (*Report, error) {
 
 		tPlace := time.Now()
 		groupSpan := iterSpan.Child("group-nslca")
-		var groups, prunedGroups []*group
+		var groups []*group
 		err = guard.Protect("group-nslca", func() error {
 			opts.Meter.SetPhase("group-nslca")
 			if err := faults.Inject(faults.GroupNSLCA); err != nil {
 				return err
 			}
 			groups = groupByNSLCA(races)
-			if opts.MHP != nil {
-				groups, prunedGroups = pruneSerialGroups(groups, opts.MHP)
-			}
 			return nil
 		})
 		groupSpan.SetInt("groups", int64(len(groups))).End()
@@ -707,7 +449,7 @@ func repairReplay(prog *ast.Program, opts Options) (*Report, error) {
 			}
 			var reason string
 			var perr error
-			placements, outcomes, it.DPStates, reason, perr = placeGroups(groups, opts.MaxGraph, opts.Meter, opts.Workers, placeSpan, selector)
+			placements, outcomes, it.DPStates, reason, perr = placeGroups(groups, opts.Meter, opts.Workers, placeSpan, selector)
 			if reason != "" {
 				rep.Degraded = true
 				if rep.DegradedReason == "" {
@@ -728,9 +470,6 @@ func repairReplay(prog *ast.Program, opts Options) (*Report, error) {
 			pit := provenance.Iteration{N: iter, Races: provRaces(races), CPL: provCPL(rr.Tree)}
 			for _, o := range outcomes {
 				pit.Groups = append(pit.Groups, provGroup(o))
-			}
-			for _, pg := range prunedGroups {
-				pit.Groups = append(pit.Groups, provPruned(pg))
 			}
 			opts.Explain.Iterations = append(opts.Explain.Iterations, pit)
 		}
@@ -765,53 +504,6 @@ func repairReplay(prog *ast.Program, opts Options) (*Report, error) {
 		iterSpan.SetInt("races", int64(it.Races)).
 			SetInt("finishes_inserted", int64(added)).
 			End()
-	}
-}
-
-// pruneSerialGroups splits NS-LCA groups into those with at least one
-// race pair that may run in parallel according to the static oracle
-// (kept) and those provably serial (pruned). With a sound oracle the
-// pruned list is always empty (a dynamic race implies static MHP), so
-// the repaired output is unchanged; the counter records how often the
-// cross-check fired anyway.
-func pruneSerialGroups(groups []*group, mhp func(src, dst *dpst.Node) bool) (kept, pruned []*group) {
-	kept = groups[:0]
-	for _, g := range groups {
-		parallel := false
-		for _, rc := range g.races {
-			if mhp(rc.Src, rc.Dst) {
-				parallel = true
-				break
-			}
-		}
-		if parallel {
-			kept = append(kept, g)
-		} else {
-			mPrunedSerial.Inc()
-			pruned = append(pruned, g)
-		}
-	}
-	return kept, pruned
-}
-
-// newRepairEngine builds the detector engine for one analysis round.
-// Engine Both + Workers > 1 selects the fused dual-oracle engine: one
-// shadow scan cross-checking both backends per ordering query, which
-// AnalyzeParallel then shards across workers.
-func newRepairEngine(opts Options) race.Engine {
-	switch opts.Engine {
-	case race.EngineVC:
-		return race.NewEngine(race.EngineVC, opts.Variant)
-	case race.EngineBoth:
-		if opts.Workers > 1 {
-			return race.NewFused(opts.Variant)
-		}
-		return race.NewDifferential(
-			race.WithName(race.New(opts.Variant, race.NewBagsOracle()), "espbags"),
-			race.NewEngine(race.EngineVC, opts.Variant),
-		)
-	default:
-		return race.WithName(race.New(opts.Variant, race.NewBagsOracle()), "espbags")
 	}
 }
 

@@ -1,16 +1,10 @@
 package repair_test
 
 import (
-	"fmt"
-	"os"
 	"testing"
 
-	"finishrepair/internal/bench"
-	"finishrepair/internal/lang/ast"
 	"finishrepair/internal/lang/parser"
-	"finishrepair/internal/lang/printer"
 	"finishrepair/internal/obs"
-	"finishrepair/internal/race"
 	"finishrepair/internal/repair"
 )
 
@@ -41,61 +35,5 @@ func TestRepairCapturesOnceReplaysRest(t *testing.T) {
 	}
 	if count["detect/espbags"] != len(rep.Iterations) {
 		t.Errorf("detect/espbags spans = %d, want %d (one analysis per iteration)", count["detect/espbags"], len(rep.Iterations))
-	}
-}
-
-// repairBothModes repairs src with the replay loop and the legacy
-// re-executing loop and requires byte-identical results.
-func repairBothModes(t *testing.T, name, src string, v race.Variant) {
-	t.Helper()
-	var outs [2]string
-	var reps [2]*repair.Report
-	for i, re := range []bool{false, true} {
-		prog := parser.MustParse(src)
-		ast.StripFinishes(prog)
-		rep, err := repair.Repair(prog, repair.Options{Variant: v, ReExecute: re, MaxIterations: 30})
-		if err != nil {
-			t.Fatalf("%s (%s, reexecute=%v): %v", name, v, re, err)
-		}
-		outs[i] = printer.Print(prog)
-		reps[i] = rep
-	}
-	if outs[0] != outs[1] {
-		t.Errorf("%s (%s): repaired sources differ between modes\n-- replay --\n%s\n-- re-execute --\n%s",
-			name, v, outs[0], outs[1])
-	}
-	if reps[0].Output != reps[1].Output {
-		t.Errorf("%s (%s): outputs differ: replay %q, re-execute %q", name, v, reps[0].Output, reps[1].Output)
-	}
-	if reps[0].Inserted != reps[1].Inserted {
-		t.Errorf("%s (%s): inserted %d finishes via replay, %d via re-execute", name, v, reps[0].Inserted, reps[1].Inserted)
-	}
-}
-
-// TestReplayModeMatchesReExecute differentially tests the two repair
-// loops: for every benchmark program (both detector variants) and the
-// checked-in example inputs, the trace-replay loop must produce the
-// same repaired source, output, and insertion count as re-executing the
-// program every iteration.
-func TestReplayModeMatchesReExecute(t *testing.T) {
-	for _, b := range bench.All() {
-		for _, v := range []race.Variant{race.VariantMRW, race.VariantSRW} {
-			b, v := b, v
-			t.Run(fmt.Sprintf("%s-%s", b.Name, v), func(t *testing.T) {
-				t.Parallel()
-				repairBothModes(t, b.Name, b.Src(b.RepairSize), v)
-			})
-		}
-	}
-	for _, f := range []string{"../../testdata/buggy_fib.hj", "../../testdata/quicksort.hj"} {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := f
-		t.Run(f, func(t *testing.T) {
-			t.Parallel()
-			repairBothModes(t, f, string(src), race.VariantMRW)
-		})
 	}
 }

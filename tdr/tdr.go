@@ -133,15 +133,15 @@ const (
 	ESPBags Engine = iota
 	// VC is the vector-clock detector (after Kumar et al.).
 	VC
-	// Both runs ESP-Bags and VC over the same replayed execution and
-	// cross-checks their race sets; any divergence surfaces as a
-	// *DisagreementError.
+	// Both runs the fused engine: one shadow scan of the replayed
+	// execution whose every ordering query ESP-Bags and VC both answer;
+	// the first query they disagree on surfaces as a *DisagreementError.
 	Both
 )
 
-// DisagreementError reports that two detector engines run over the same
-// execution produced different race sets (Engine Both). Test with
-// errors.As.
+// DisagreementError reports that the ESP-Bags and vector-clock oracles
+// answered an ordering query of the same execution differently (Engine
+// Both). Test with errors.As.
 type DisagreementError = race.DisagreementError
 
 // ParseDetector maps a -detector flag value to a variant and engine:
@@ -253,8 +253,8 @@ func (p *Program) DetectCtx(ctx context.Context, d Detector, b Budget) (*RaceRep
 // DetectEngineCtx is DetectCtx with an explicit detector engine: the
 // program is captured once as an event trace and the trace is analyzed
 // by the chosen backend. Engine Both cross-checks ESP-Bags against the
-// vector-clock detector and fails with a *DisagreementError on any
-// race-set divergence.
+// vector-clock oracle on every ordering query and fails with a
+// *DisagreementError on the first divergence.
 func (p *Program) DetectEngineCtx(ctx context.Context, d Detector, e Engine, b Budget) (*RaceReport, error) {
 	m := guard.NewMeter(ctx, b)
 	v := raceVariant(d)
@@ -332,8 +332,9 @@ func (p *Program) SDPSTDot() (string, error) {
 type RepairOptions struct {
 	Detector Detector
 	// Engine selects the detector backend (default ESPBags). Both
-	// cross-checks every detection round and fails the repair with a
-	// *DisagreementError if the engines ever diverge.
+	// cross-checks every ordering query of every detection round and
+	// fails the repair with a *DisagreementError if the oracles ever
+	// diverge.
 	Engine        Engine
 	MaxIterations int
 	// Budget bounds the run's resources (wall clock, interpreter ops, DP
@@ -343,11 +344,11 @@ type RepairOptions struct {
 	// Tracer records per-phase spans; when nil, the tracer attached by
 	// LoadTraced (if any) is used.
 	Tracer *obs.Tracer
-	// Workers bounds the analysis parallelism: with Engine Both the two
-	// detector engines analyze the captured trace concurrently, and the
-	// independent per-NS-LCA placement problems are solved on a worker
-	// pool of this size. The repaired program is byte-identical for any
-	// worker count. 0 or 1 is fully sequential.
+	// Workers bounds the analysis parallelism: with Engine Both the fused
+	// scan is sharded across this many workers, and the independent
+	// per-NS-LCA placement problems are solved on a worker pool of this
+	// size. The repaired program is byte-identical for any worker count.
+	// 0 or 1 is fully sequential.
 	Workers int
 	// Vet runs the static analyzer over the program before the repair
 	// and cross-references the static race-candidate set against the
@@ -356,12 +357,6 @@ type RepairOptions struct {
 	// only test-driven, and these are the pairs its guarantee does not
 	// reach.
 	Vet bool
-	// StaticPrune supplies the repair loop with the static
-	// may-happen-in-parallel oracle so NS-LCA groups that are statically
-	// serial are skipped before placement. Because the static relation
-	// over-approximates every dynamic race, the pruning provably never
-	// changes the repaired program.
-	StaticPrune bool
 	// Explain records the structured provenance of the repair — per
 	// iteration: detected race pairs, NS-LCA groups, DP placement
 	// decisions, and critical-path length — in RepairReport.Explain
@@ -527,7 +522,7 @@ func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairRep
 	// mutates the tree when it finishes, and candidate lookups key on
 	// statement identity, so the results stay valid across rounds.
 	var res *analysis.Result
-	if opts.Vet || opts.StaticPrune {
+	if opts.Vet {
 		info, err := sem.Check(p.prog)
 		if err != nil {
 			return nil, fmt.Errorf("tdr: vet: %w", err)
@@ -580,9 +575,6 @@ func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairRep
 				}
 			}
 		}
-	}
-	if opts.StaticPrune {
-		ropts.MHP = res.MayRunInParallel
 	}
 	var ex *provenance.Explain
 	if opts.Explain {
