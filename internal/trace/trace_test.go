@@ -77,7 +77,7 @@ func capture(t *testing.T, src string) (*sem.Info, *interp.Result, *trace.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, tr, err := captureRun(info)
+	res, tr, err := captureRun(info, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tr, err := captureRun(info)
+	_, tr, err := captureRun(info, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestFinishStatementsAreFreeInTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res2, _, err := captureRun(sinfo)
+		res2, _, err := captureRun(sinfo, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
