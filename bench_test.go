@@ -28,7 +28,6 @@ import (
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/obs"
-	"finishrepair/internal/parinterp"
 	"finishrepair/internal/race"
 	"finishrepair/internal/repair"
 	"finishrepair/internal/trace"
@@ -124,7 +123,7 @@ func BenchmarkFig16_OriginalParallel(b *testing.B) {
 			info := sem.MustCheck(prog)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := parinterp.Run(info, parinterp.Options{Executor: exec}); err != nil {
+				if _, err := interp.RunParallel(info, interp.ParallelOptions{Executor: exec}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -148,7 +147,7 @@ func BenchmarkFig16_RepairedParallel(b *testing.B) {
 			info := sem.MustCheck(prog)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := parinterp.Run(info, parinterp.Options{Executor: exec}); err != nil {
+				if _, err := interp.RunParallel(info, interp.ParallelOptions{Executor: exec}); err != nil {
 					b.Fatal(err)
 				}
 			}

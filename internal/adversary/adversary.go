@@ -1,7 +1,8 @@
 // Package adversary is the deterministic adversarial scheduler for the
-// task-parallel interpreter: it drives parinterp's controlled mode,
-// deciding at every yield point (shared-memory access, async spawn,
-// print) which logical task runs next.
+// task-parallel executor: it drives interp's controlled runs
+// (interp.RunParallel with a Controller), deciding at every yield point
+// (shared-memory access, async spawn, print) which logical task runs
+// next.
 //
 // Three capabilities build on the controller (the robustness layer of
 // ROADMAP item 3):
@@ -30,10 +31,10 @@ import (
 	"sync"
 
 	"finishrepair/internal/guard"
+	"finishrepair/internal/interp"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/lang/token"
 	"finishrepair/internal/obs"
-	"finishrepair/internal/parinterp"
 )
 
 // Adversary metrics (registered in the obs KnownMetrics manifest).
@@ -115,7 +116,7 @@ func Run(info *sem.Info, sched Schedule, opts RunOptions) (*Outcome, error) {
 		reached:   make([]bool, len(opts.Watch)),
 	}
 	mSchedulesRun.Inc()
-	res, err := parinterp.Run(info, parinterp.Options{Controller: ctl, Meter: opts.Meter})
+	res, err := interp.RunParallel(info, interp.ParallelOptions{Controller: ctl, Meter: opts.Meter})
 	out := &Outcome{
 		Schedule: sched,
 		Yields:   ctl.yields,
@@ -167,7 +168,7 @@ type scope struct {
 	waiting bool // owner is blocked in FinishWait on this scope
 }
 
-// controller implements parinterp.Controller: a single-token
+// controller implements interp.Controller: a single-token
 // cooperative scheduler whose every decision comes from the Schedule.
 // All state is mutex-guarded; blocking happens on per-task gate
 // channels outside the lock.
@@ -257,11 +258,11 @@ func (c *controller) Begin(id int) {
 // and returns when the task is granted again. When the schedule would
 // pick the yielding task itself, Yield records that grant and returns
 // at once: no ready-list round trip, no gate send, no wait.
-func (c *controller) Yield(id int, p parinterp.Point) {
+func (c *controller) Yield(id int, p interp.Point) {
 	c.mu.Lock()
 	if c.aborted {
 		c.mu.Unlock()
-		panic(parinterp.Aborted{})
+		panic(interp.Aborted{})
 	}
 	c.yields++
 	if c.yields > c.maxYields {
@@ -273,7 +274,7 @@ func (c *controller) Yield(id int, p parinterp.Point) {
 		panic(guard.Bail{Err: err})
 	}
 	for i, w := range c.watch {
-		if p.Pos == w && (p.Op == parinterp.OpRead || p.Op == parinterp.OpWrite) {
+		if p.Pos == w && (p.Op == interp.OpRead || p.Op == interp.OpWrite) {
 			c.reached[i] = true
 		}
 	}
@@ -320,7 +321,7 @@ func (c *controller) FinishWait(id int, sid int) {
 	c.mu.Lock()
 	if c.aborted {
 		c.mu.Unlock()
-		panic(parinterp.Aborted{})
+		panic(interp.Aborted{})
 	}
 	t := c.tasks[id]
 	t.open = t.open[:len(t.open)-1]
@@ -455,6 +456,6 @@ func (c *controller) await(t *task) {
 	select {
 	case <-t.gate:
 	case <-c.abortCh:
-		panic(parinterp.Aborted{})
+		panic(interp.Aborted{})
 	}
 }

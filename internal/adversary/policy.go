@@ -3,8 +3,8 @@ package adversary
 import (
 	"fmt"
 
+	"finishrepair/internal/interp"
 	"finishrepair/internal/lang/token"
-	"finishrepair/internal/parinterp"
 )
 
 // Policy names a scheduling discipline for one controlled run.
@@ -67,14 +67,14 @@ func (s Schedule) String() string {
 
 // defers reports whether the schedule delays a task whose next
 // operation is p.
-func (s Schedule) defers(p parinterp.Point) bool {
+func (s Schedule) defers(p interp.Point) bool {
 	switch s.Policy {
 	case DeferWrite:
-		return p.Op == parinterp.OpWrite && p.Loc == s.Loc
+		return p.Op == interp.OpWrite && p.Loc == s.Loc
 	case DeferRead:
-		return p.Op == parinterp.OpRead && p.Loc == s.Loc
+		return p.Op == interp.OpRead && p.Loc == s.Loc
 	case DeferPos:
-		return (p.Op == parinterp.OpRead || p.Op == parinterp.OpWrite) && p.Pos == s.Pos
+		return (p.Op == interp.OpRead || p.Op == interp.OpWrite) && p.Pos == s.Pos
 	}
 	return false
 }

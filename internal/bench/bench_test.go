@@ -9,7 +9,6 @@ import (
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/printer"
 	"finishrepair/internal/lang/sem"
-	"finishrepair/internal/parinterp"
 	"finishrepair/internal/race"
 )
 
@@ -143,7 +142,7 @@ func TestParallelExecutionMatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pres, err := parinterp.Run(info, parinterp.Options{})
+			pres, err := interp.RunParallel(info, interp.ParallelOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,7 +14,6 @@ import (
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/obs"
-	"finishrepair/internal/parinterp"
 	"finishrepair/internal/race"
 	"finishrepair/internal/repair"
 	"finishrepair/taskpar"
@@ -344,7 +343,7 @@ func RunPerf(b *Benchmark, size, runs int) (*PerfStats, error) {
 	}
 	var origOut string
 	ps.Orig, ps.OrigCI, err = timeRuns(runs, func() error {
-		r, err := parinterp.Run(origInfo, parinterp.Options{Executor: exec})
+		r, err := interp.RunParallel(origInfo, interp.ParallelOptions{Executor: exec})
 		if err == nil {
 			origOut = r.Output
 		}
@@ -367,7 +366,7 @@ func RunPerf(b *Benchmark, size, runs int) (*PerfStats, error) {
 	}
 	var repOut string
 	ps.Repaired, ps.RepCI, err = timeRuns(runs, func() error {
-		r, err := parinterp.Run(repInfo, parinterp.Options{Executor: exec})
+		r, err := interp.RunParallel(repInfo, interp.ParallelOptions{Executor: exec})
 		if err == nil {
 			repOut = r.Output
 		}

@@ -16,7 +16,7 @@
 //     public tdr API.
 //
 // The package is a leaf: everything above it (tdr, internal/repair,
-// internal/interp, internal/parinterp, taskpar) imports it, and the tdr
+// internal/interp, taskpar) imports it, and the tdr
 // facade re-exports the types by alias so callers outside the module see
 // them as tdr.Budget, tdr.BudgetExceededError, and so on.
 package guard

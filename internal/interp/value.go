@@ -1,26 +1,11 @@
-// Package interp implements the canonical sequential depth-first
-// execution of HJ-lite programs, with optional instrumentation that
-// builds the S-DPST and feeds memory accesses to a data-race detector.
-//
-// Semantics relevant to race detection:
-//
-//   - async bodies capture enclosing locals BY VALUE (a snapshot at spawn
-//     time), the HJ "final variable" idiom; locals therefore never race.
-//   - arrays are heap objects shared by reference; global variables are
-//     shared cells. Only array elements and globals are instrumented.
-//   - finish bodies are scope-transparent for variable scoping but
-//     introduce a Finish node in the S-DPST.
-//
-// The work cost model is deterministic: every statement and expression
-// node evaluated charges one work unit to the current step. These units
-// feed the finish-placement DP (t[i], EST) and the critical-path-length
-// analyzer.
 package interp
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"finishrepair/internal/lang/ast"
 )
 
 // Kind tags runtime values.
@@ -64,6 +49,27 @@ func BoolV(v bool) Value {
 }
 func StringV(s string) Value { return Value{K: KString, S: s} }
 func VoidV() Value           { return Value{K: KVoid} }
+
+// zeroValue is the value of a declared variable of type t before its
+// first assignment.
+func zeroValue(t ast.Type) Value {
+	switch tt := t.(type) {
+	case *ast.PrimType:
+		switch tt.Kind {
+		case ast.Int:
+			return IntV(0)
+		case ast.Float:
+			return FloatV(0)
+		case ast.Bool:
+			return BoolV(false)
+		default:
+			return StringV("")
+		}
+	case *ast.ArrayType:
+		return Value{K: KArray}
+	}
+	return VoidV()
+}
 
 // Bool reports the truth of a KBool value.
 func (v Value) Bool() bool { return v.I != 0 }

@@ -9,7 +9,6 @@ import (
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/printer"
 	"finishrepair/internal/lang/sem"
-	"finishrepair/internal/parinterp"
 	"finishrepair/internal/progen"
 	"finishrepair/internal/race"
 	"finishrepair/internal/repair"
@@ -108,7 +107,7 @@ func TestRepairedProgramsRunParallel(t *testing.T) {
 		}
 		info := sem.MustCheck(prog)
 		for try := 0; try < 3; try++ {
-			res, err := parinterp.Run(info, parinterp.Options{})
+			res, err := interp.RunParallel(info, interp.ParallelOptions{})
 			if err != nil {
 				t.Fatalf("seed %d: parallel run: %v", seed, err)
 			}

@@ -28,10 +28,10 @@ const (
 	// EvPop closes the innermost open interior node.
 	EvPop
 	// EvStep marks a step-boundary request for statement Stmt of block
-	// Block (the interpreter's ensureStep). Replay re-applies the
+	// Block (interp's step hook). Replay re-applies the
 	// trailing-merge rule, so consecutive EvSteps may share one node.
 	EvStep
-	// EvEnd ends the current step (the interpreter's endStep).
+	// EvEnd ends the current step (interp's endStep).
 	EvEnd
 	// EvRead is an instrumented read of memory location Loc.
 	EvRead

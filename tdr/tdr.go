@@ -31,7 +31,6 @@ import (
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/obs"
 	"finishrepair/internal/obs/provenance"
-	"finishrepair/internal/parinterp"
 	"finishrepair/internal/race"
 	"finishrepair/internal/repair"
 	"finishrepair/internal/trace"
@@ -501,22 +500,36 @@ func (p *Program) Repair(opts RepairOptions) (*RepairReport, error) {
 	return p.RepairCtx(context.Background(), opts)
 }
 
+// loop builds the repair loop's options from opts, for Repair and
+// RepairAcross alike.
+func (opts RepairOptions) loop(tr *obs.Tracer, m *guard.Meter) repair.Options {
+	maxIter := opts.MaxIterations
+	if maxIter == 0 {
+		maxIter = opts.Budget.Iterations()
+	}
+	return repair.Options{
+		Variant:       raceVariant(opts.Detector),
+		Engine:        engineKind(opts.Engine),
+		MaxIterations: maxIter,
+		UseTraceFiles: true,
+		Tracer:        tr,
+		Meter:         m,
+		Workers:       opts.Workers,
+		Strategy:      repairStrategy(opts.Strategy),
+	}
+}
+
 // RepairCtx is Repair with cancellation and a budget: canceling ctx
 // aborts the loop mid-iteration with a *CanceledError; a tripped
 // DP-state or deadline budget degrades to the coarse sound placement
 // and marks the report Degraded; any panic surfaces as *InternalError.
 // The partial report of the completed rounds accompanies every error.
 func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairReport, error) {
-	v := raceVariant(opts.Detector)
 	tr := opts.Tracer
 	if tr == nil {
 		tr = p.tracer
 	}
 	m := guard.NewMeter(ctx, opts.Budget)
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = opts.Budget.Iterations()
-	}
 
 	// The static pass runs over the pre-repair AST: the replay loop only
 	// mutates the tree when it finishes, and candidate lookups key on
@@ -531,16 +544,7 @@ func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairRep
 		res = analysis.Analyze(info, vsp)
 		vsp.SetInt("candidates", int64(len(res.Candidates()))).End()
 	}
-	ropts := repair.Options{
-		Variant:       v,
-		Engine:        engineKind(opts.Engine),
-		MaxIterations: maxIter,
-		UseTraceFiles: true,
-		Tracer:        tr,
-		Meter:         m,
-		Workers:       opts.Workers,
-		Strategy:      repairStrategy(opts.Strategy),
-	}
+	ropts := opts.loop(tr, m)
 	if opts.Vet {
 		ropts.OnRaces = func(races []*race.Race) {
 			for _, r := range races {
@@ -709,10 +713,13 @@ func (p *Program) RunParallel(workers int) (string, error) {
 	return p.RunParallelCtx(context.Background(), workers, Budget{})
 }
 
-// RunParallelCtx is RunParallel with cancellation and a budget: the
-// parallel run charges coarse work units (loop iterations, calls, task
-// spawns) against the op budget; on cancellation or a trip, tasks that
-// have not started are skipped and the run returns a typed error.
+// RunParallelCtx is RunParallel with cancellation and a budget. It runs
+// the program compiled exactly as for RunSequential, under the
+// free-running policy, so a runtime fault fails it with the sequential
+// run's error text. It charges coarse work units (loop iterations,
+// calls, task spawns) against the op budget, where the sequential runs
+// charge every node; on cancellation or a trip, tasks that have not
+// started are skipped and the run returns a typed error.
 func (p *Program) RunParallelCtx(ctx context.Context, workers int, b Budget) (string, error) {
 	m := guard.NewMeter(ctx, b)
 	var out string
@@ -724,7 +731,7 @@ func (p *Program) RunParallelCtx(ctx context.Context, workers int, b Budget) (st
 		exec := taskpar.NewPoolExecutor(workers)
 		defer exec.Shutdown()
 		sp := p.tracer.Start("parallel-run").SetInt("workers", int64(workers))
-		res, rerr := parinterp.Run(info, parinterp.Options{Executor: exec, Meter: m})
+		res, rerr := interp.RunParallel(info, interp.ParallelOptions{Executor: exec, Meter: m})
 		sp.End()
 		if rerr != nil {
 			return rerr
