@@ -59,8 +59,13 @@ func (p *Program) Coverage() (CoverageReport, error) {
 // Each input's repair placements are replayed onto the next input before
 // its own detection runs, so later inputs only contribute repairs for
 // races the earlier inputs missed. The returned source is the final
-// rendering (last input) with every inserted finish; the report
-// aggregates all rounds.
+// rendering (last input) with every inserted finish and isolated; the
+// report aggregates all rounds.
+//
+// Detector, Engine, Workers, Strategy, MaxIterations, Budget and Tracer
+// apply as in Repair. Vet, Explain, Witness and AdversarySchedules do
+// not: they describe one program's repair, not a session over several
+// inputs.
 func RepairAcross(srcs []string, opts RepairOptions) (string, *RepairReport, error) {
 	return RepairAcrossCtx(context.Background(), srcs, opts)
 }
@@ -73,10 +78,7 @@ func RepairAcrossCtx(ctx context.Context, srcs []string, opts RepairOptions) (st
 		return "", nil, fmt.Errorf("tdr: no inputs")
 	}
 	m := guard.NewMeter(ctx, opts.Budget)
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = opts.Budget.Iterations()
-	}
+	ropts := opts.loop(opts.Tracer, m)
 	total := &RepairReport{}
 	var applied []repair.Iteration
 	for i, src := range srcs {
@@ -90,17 +92,10 @@ func RepairAcrossCtx(ctx context.Context, srcs []string, opts RepairOptions) (st
 		if err := repair.Replay(prog, applied); err != nil {
 			return "", nil, fmt.Errorf("tdr: input %d: %w", i, err)
 		}
-		v := raceVariant(opts.Detector)
 		var rep *repair.Report
 		err = guard.Protect("repair", func() error {
 			var rerr error
-			rep, rerr = repair.Repair(prog, repair.Options{
-				Variant:       v,
-				MaxIterations: maxIter,
-				UseTraceFiles: true,
-				Tracer:        opts.Tracer,
-				Meter:         m,
-			})
+			rep, rerr = repair.Repair(prog, ropts)
 			return rerr
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package tdr_test
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -128,5 +129,37 @@ func TestRepairAcrossInputs(t *testing.T) {
 func TestRepairAcrossRejectsEmpty(t *testing.T) {
 	if _, _, err := tdr.RepairAcross(nil, tdr.RepairOptions{}); err == nil {
 		t.Error("expected error for empty input list")
+	}
+}
+
+// RepairAcross runs the same repair loop as Repair: over one input it
+// prints the program Repair prints under the same detector, engine,
+// workers and strategy (counter.hj's race repairs with isolated under
+// Auto, with a finish under Finish).
+func TestRepairAcrossMatchesRepair(t *testing.T) {
+	src, err := os.ReadFile("../examples/hj/counter.hj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []tdr.RepairOptions{
+		{Strategy: tdr.Auto},
+		{Strategy: tdr.Finish},
+		{Strategy: tdr.Auto, Engine: tdr.Both, Workers: 2},
+		{Strategy: tdr.Isolated, Detector: tdr.SRW},
+	} {
+		p, err := tdr.Load(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Repair(opts); err != nil {
+			t.Fatal(err)
+		}
+		across, _, err := tdr.RepairAcross([]string{string(src)}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := p.Source(); across != want {
+			t.Errorf("%+v: RepairAcross printed\n%s\nRepair printed\n%s", opts, across, want)
+		}
 	}
 }
