@@ -640,11 +640,11 @@ func canonicalSpans(spans []span) []span {
 }
 
 // applyPlacements rewrites the program, wrapping each placement's
-// statement range in a synthesized finish or isolated. Identical
-// placements are deduplicated, partially overlapping same-kind ranges
-// in one block are merged, and nested ranges are applied
-// innermost-first. It returns the applied insertions in replayable
-// form.
+// statement range in a synthesized finish or isolated, nested ranges
+// innermost-first. The placements resolve the canonical virtual scope
+// set (mergeVirtual), so per block and kind they hold no duplicates
+// and no partial overlaps. It returns the applied insertions in
+// replayable form.
 func applyPlacements(prog *ast.Program, placements []Placement) ([]AppliedRange, error) {
 	byBlock := make(map[*ast.Block][]krange)
 	var blocks []*ast.Block
@@ -727,50 +727,8 @@ type krange struct {
 	class  int
 }
 
-func applyToBlock(prog *ast.Program, b *ast.Block, ranges []krange) ([]AppliedRange, error) {
-	// Deduplicate by (range, kind); identical ranges that disagree on
-	// lock class collapse to the global lock conservatively.
-	type rk struct {
-		lo, hi int
-		kind   trace.RangeKind
-	}
-	idx := make(map[rk]int)
-	var rs []krange
-	for _, r := range ranges {
-		k := rk{r.lo, r.hi, r.kind}
-		if i, ok := idx[k]; ok {
-			rs[i].class = mergeClass(rs[i].class, r.class)
-			continue
-		}
-		idx[k] = len(rs)
-		rs = append(rs, r)
-	}
-	// Merge partial overlaps of the same kind until only disjoint or
-	// strictly nested ranges remain. Cross-kind partial overlap cannot
-	// arise: isolated ranges cover one update region inside a single
-	// maximal step, so against any other range they are disjoint or
-	// nested.
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(rs) && !changed; i++ {
-			for j := i + 1; j < len(rs) && !changed; j++ {
-				a, c := rs[i], rs[j]
-				if a.kind != c.kind {
-					continue
-				}
-				if a.lo > c.lo {
-					a, c = c, a
-				}
-				overlap := c.lo <= a.hi
-				nested := overlap && c.hi <= a.hi
-				if overlap && !nested && a != c {
-					rs[i] = krange{a.lo, max(a.hi, c.hi), a.kind, mergeClass(a.class, c.class)}
-					rs = append(rs[:j], rs[j+1:]...)
-					changed = true
-				}
-			}
-		}
-	}
+// applyToBlock wraps the ranges of block b.
+func applyToBlock(prog *ast.Program, b *ast.Block, rs []krange) ([]AppliedRange, error) {
 	// Innermost (smallest) first so outer indices can be adjusted as
 	// inner ranges collapse into single wrapper statements. On identical
 	// ranges the isolated goes first (ends up innermost), matching the
@@ -790,7 +748,7 @@ func applyToBlock(prog *ast.Program, b *ast.Block, ranges []krange) ([]AppliedRa
 	for i := 0; i < len(rs); i++ {
 		lo, hi := rs[i].lo, rs[i].hi
 		if lo < 0 || hi >= len(b.Stmts) || lo > hi {
-			return applied, fmt.Errorf("repair: merged range %d..%d out of bounds in block %d", lo, hi, b.ID)
+			return applied, fmt.Errorf("repair: range %d..%d out of bounds in block %d", lo, hi, b.ID)
 		}
 		wrapRange(prog, b, lo, hi, rs[i].kind, rs[i].class)
 		applied = append(applied, AppliedRange{BlockID: b.ID, Lo: lo, Hi: hi, Kind: rs[i].kind, Class: rs[i].class})
