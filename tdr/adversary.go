@@ -18,6 +18,7 @@ import (
 	"finishrepair/internal/adversary"
 	"finishrepair/internal/analysis"
 	"finishrepair/internal/guard"
+	"finishrepair/internal/interp"
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/obs/provenance"
@@ -335,7 +336,7 @@ func (p *Program) Stress(ctx context.Context, opts StressOptions) (*StressReport
 		}
 		locs := make([]uint64, 0, info.GlobalCount)
 		for i := 0; i < info.GlobalCount; i++ {
-			locs = append(locs, uint64(1+i))
+			locs = append(locs, interp.GlobalLoc(i))
 		}
 		scheds := adversary.VerifySchedules(locs, k, opts.Seed)
 		sp := p.tracer.Start("adversarial-stress").SetInt("schedules", int64(len(scheds)))
