@@ -178,12 +178,14 @@ func BenchmarkHomeworkGrading(b *testing.B) {
 // "both" runs ESP-Bags and then VC as two independent analyses and
 // compares their race sets (the independent-engines gold standard), and
 // "both-j1" / "both-j2" / "both-j4" run the fused dual-oracle engine
-// that -detector both -j N runs — one shadow scan cross-checking both
-// oracles per ordering query, sharded by location hash when cores allow
-// (race.AnalyzeParallel). Engines are released back to the shadow-memory
-// reuse pool between iterations, as the repair loop does. Regenerate
-// BENCH_detect.json with `make bench-detect`; gate regressions with
-// `make bench-diff` (which also enforces both-jN <= both per benchmark).
+// that -detector both runs at every -j — one serial shadow scan
+// cross-checking both oracles per ordering query — through
+// race.AnalyzeParallel, which ignores its worker count, so the three
+// stages time the same scan. Engines are released back to the
+// shadow-memory reuse pool between iterations, as the repair loop does.
+// Regenerate BENCH_detect.json with `make bench-detect`; gate
+// regressions with `make bench-diff` (which also enforces both-jN <=
+// both per benchmark).
 func BenchmarkDetectEngines(b *testing.B) {
 	release := func(eng race.Engine) {
 		if r, ok := eng.(race.Releaser); ok {

@@ -3,11 +3,14 @@
 package cmd_test
 
 import (
+	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"finishrepair/internal/obs"
 )
@@ -325,6 +328,33 @@ func TestHjrunTimeoutExitsBudgetCode(t *testing.T) {
 	}
 }
 
+// TestHjrunDotCoverageTimeoutExitsBudgetCode: -timeout also bounds
+// -mode dot and -mode coverage, so a program that never ends exits 4
+// instead of recording trace events until memory runs out. The run is
+// killed after 10 s, so a regression fails rather than hangs.
+func TestHjrunDotCoverageTimeoutExitsBudgetCode(t *testing.T) {
+	prog := writeProg(t, "loop.hj", "func main() { while (true) { } }")
+	for _, mode := range []string{"dot", "coverage"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, bins["hjrun"], "-mode", mode, "-timeout", "200ms", prog)
+		var eb strings.Builder
+		cmd.Stderr = &eb
+		err := cmd.Run()
+		killed := ctx.Err() != nil
+		cancel()
+		if killed {
+			t.Fatalf("-mode %s: still running after 10 s", mode)
+		}
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 4 {
+			t.Fatalf("-mode %s: %v, want exit 4 (budget exceeded); stderr: %s", mode, err, eb.String())
+		}
+		if !strings.Contains(eb.String(), "deadline exceeded") {
+			t.Errorf("-mode %s: stderr should name the tripped deadline: %s", mode, eb.String())
+		}
+	}
+}
+
 // TestHjrunDetectorEngines: every -detector value must report the same
 // races on the buggy fixture, and "both" must agree (no exit 5).
 func TestHjrunDetectorEngines(t *testing.T) {
@@ -353,22 +383,34 @@ func TestHjrunDetectorEngines(t *testing.T) {
 
 // TestHjrepairDetectorBoth repairs under the differential engine: the
 // engines must agree on every round (exit 0) and the repaired source
-// must match the default engine's result byte for byte.
+// must match the default engine's result byte for byte, at -j 1 and
+// with the streamed first round and the DP worker pool at -j 2 and 4.
 func TestHjrepairDetectorBoth(t *testing.T) {
+	runs := []struct {
+		name string
+		args []string
+	}{
+		{"mrw", []string{"-detector", "mrw"}},
+		{"vc", []string{"-detector", "vc"}},
+		{"both", []string{"-detector", "both"}},
+		{"both -j 2", []string{"-detector", "both", "-j", "2"}},
+		{"both -j 4", []string{"-detector", "both", "-j", "4"}},
+	}
 	var outs []string
-	for _, d := range []string{"mrw", "vc", "both"} {
-		stdout, stderr, code := runTool(t, "hjrepair", "-quiet", "-detector", d, "../testdata/buggy_fib.hj")
+	for _, r := range runs {
+		args := append([]string{"-quiet"}, r.args...)
+		stdout, stderr, code := runTool(t, "hjrepair", append(args, "../testdata/buggy_fib.hj")...)
 		if code != 0 {
-			t.Fatalf("-detector %s: exit = %d; stderr: %s", d, code, stderr)
+			t.Fatalf("-detector %s: exit = %d; stderr: %s", r.name, code, stderr)
 		}
 		if !strings.Contains(stdout, "finish") {
-			t.Errorf("-detector %s: no finish in repaired source", d)
+			t.Errorf("-detector %s: no finish in repaired source", r.name)
 		}
 		outs = append(outs, stdout)
 	}
 	for i, o := range outs[1:] {
 		if o != outs[0] {
-			t.Errorf("-detector %s repaired source differs from mrw", []string{"vc", "both"}[i])
+			t.Errorf("-detector %s repaired source differs from mrw", runs[i+1].name)
 		}
 	}
 }

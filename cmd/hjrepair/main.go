@@ -29,10 +29,11 @@
 // and keeps the one with the shorter post-repair critical path. The
 // -explain record documents every choice (candidate spans and why).
 //
-// -j N parallelizes the analysis: with "-detector both" the fused scan
-// is sharded across N workers, and the independent per-NS-LCA
-// finish-placement problems are solved on a worker pool of N
-// goroutines. The repaired program is byte-identical for any N.
+// -j N parallelizes the analysis: above 1 the first detection round
+// streams, overlapping capture with analysis, and the independent
+// per-NS-LCA finish-placement problems are solved on a worker pool of N
+// goroutines. Every detection round is one serial shadow scan, with any
+// detector. The repaired program is byte-identical for any N.
 //
 // Robustness: -timeout bounds the wall-clock time of the whole pipeline
 // and -max-dp-states bounds the dynamic-programming states explored by
@@ -111,7 +112,7 @@ const (
 func main() {
 	detector := flag.String("detector", "mrw", "race detector: mrw|srw (ESP-Bags variant) or espbags|vc|both (trace-analysis engine)")
 	strategy := flag.String("strategy", "auto", "repair strategy per race group: finish|isolated|auto; \"iso\" is accepted as an alias of isolated (auto picks the shorter post-repair critical path)")
-	workers := flag.Int("j", 1, "analysis parallelism: fused-scan shards (-detector both) and per-NS-LCA DP workers (output is identical for any value)")
+	workers := flag.Int("j", 1, "analysis parallelism: streamed first round and per-NS-LCA DP workers (output is identical for any value)")
 	out := flag.String("o", "", "write repaired program to this file (default stdout)")
 	quiet := flag.Bool("quiet", false, "suppress the repair summary on stderr")
 	maxIter := flag.Int("max-iter", 0, "bound on detect/repair rounds (0 = default 10)")

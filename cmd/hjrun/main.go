@@ -139,15 +139,15 @@ func main() {
 		}
 		fmt.Print(out)
 	case "dot":
-		dot, err := prog.SDPSTDot()
+		dot, err := prog.SDPSTDotCtx(ctx, budget)
 		if err != nil {
-			fatal(err)
+			fail(err)
 		}
 		fmt.Print(dot)
 	case "coverage":
-		cov, err := prog.Coverage()
+		cov, err := prog.CoverageCtx(ctx, budget)
 		if err != nil {
-			fatal(err)
+			fail(err)
 		}
 		fmt.Println(cov)
 		if !cov.Adequate() {

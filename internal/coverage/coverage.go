@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"finishrepair/internal/dpst"
+	"finishrepair/internal/guard"
 	"finishrepair/internal/interp"
 	"finishrepair/internal/lang/ast"
 	"finishrepair/internal/lang/sem"
@@ -57,10 +58,12 @@ func (c Coverage) Adequate() bool { return c.AsyncsRun == c.Asyncs }
 // the coverage of the program under its built-in input. A statement is
 // covered when the trace has a step boundary at it or opens a construct
 // at it. The events are read directly rather than through a replayed
-// S-DPST, whose step ranges can miss a statement (DESIGN.md §8).
-func Measure(info *sem.Info) (Coverage, error) {
+// S-DPST, whose step ranges can miss a statement (DESIGN.md §8). The
+// execution charges m, the pipeline's budget meter; a nil meter is
+// unlimited.
+func Measure(info *sem.Info, m *guard.Meter) (Coverage, error) {
 	rec := trace.NewRecorder()
-	if _, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Trace: rec}); err != nil {
+	if _, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Trace: rec, Meter: m}); err != nil {
 		return Coverage{}, err
 	}
 	return fromTrace(info.Prog, rec.Trace()), nil

@@ -13,7 +13,7 @@ import (
 func measure(t *testing.T, src string) coverage.Coverage {
 	t.Helper()
 	info := sem.MustCheck(parser.MustParse(src))
-	c, err := coverage.Measure(info)
+	c, err := coverage.Measure(info, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

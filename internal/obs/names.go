@@ -34,7 +34,6 @@ var KnownMetrics = map[string]string{
 	"race.trace_captures": "counter",
 	"race.analyze_ns":     "histogram",
 	"race.shadow_cells":   "histogram",
-	"race.analyze_shards": "gauge",
 	"race.stream_chunks":  "counter",
 	"race.dual_queries":   "counter",
 

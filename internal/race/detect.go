@@ -23,7 +23,6 @@ var (
 	mTraceCaptures = obs.Default().Counter("race.trace_captures")
 	mAnalyzeNs     = obs.Default().Histogram("race.analyze_ns")
 	mShadowCells   = obs.Default().Histogram("race.shadow_cells")
-	mAnalyzeShards = obs.Default().Gauge("race.analyze_shards")
 	mStreamChunks  = obs.Default().Counter("race.stream_chunks")
 	mDualQueries   = obs.Default().Counter("race.dual_queries")
 )
@@ -119,8 +118,8 @@ func Analyze(tr *trace.Trace, prog *ast.Program, fins []trace.FinishRange, det D
 	return rr, nil
 }
 
-// observeAnalysis records the per-analysis metrics shared by the serial,
-// sharded, and streamed paths.
+// observeAnalysis records the per-analysis metrics shared by the batch
+// and streamed paths.
 func observeAnalysis(det Detector, rr *trace.Result, elapsed time.Duration) {
 	mAnalyzeNs.Observe(elapsed.Nanoseconds())
 	if s, ok := det.(ShadowSizer); ok {
@@ -140,14 +139,13 @@ func observeAnalysis(det Detector, rr *trace.Result, elapsed time.Duration) {
 }
 
 // CaptureAnalyzeStreamed overlaps capture and analysis: the instrumented
-// execution records into a stream whose sealed chunks the analysis
-// consumes as they are published, instead of capture-once-then-analyze.
-// When det is a fused engine and more than one worker is requested, the
-// consumer is the sharded scan (analysis parallelism stacks on the
-// capture overlap); otherwise a single streaming replay feeds det. The
-// returned trace is the complete capture, replayable by later
-// iterations exactly like Capture's. A capture error wins over the
-// analysis error it induces downstream.
+// execution records into a stream whose sealed chunks one streaming
+// replay feeds to det as they are published, instead of
+// capture-once-then-analyze. The returned trace is the complete capture,
+// replayable by later iterations exactly like Capture's. A capture error
+// wins over the analysis error it induces downstream. The workers
+// argument is unused; it stays only for existing callers and goes with
+// them.
 func CaptureAnalyzeStreamed(info *sem.Info, fins []trace.FinishRange, det Detector, m *guard.Meter, noCollapse bool, workers int) (*interp.Result, *trace.Trace, *trace.Result, error) {
 	s := trace.NewStream()
 	rec := trace.NewRecorder()
@@ -180,32 +178,17 @@ func CaptureAnalyzeStreamed(info *sem.Info, fins []trace.FinishRange, det Detect
 		capDone <- cerr
 	}()
 
-	shards := 0
-	if _, ok := det.(*Fused); ok && workers > 1 {
-		shards = effectiveShards(workers)
-	}
-	var (
-		rr   *trace.Result
-		aerr error
-	)
-	if shards > 1 {
-		run := func(opts trace.ReplayOptions) (*trace.Result, error) {
-			return trace.ReplayStream(s, opts)
-		}
-		rr, aerr = analyzeShardedFrom(run, 0, info.Prog, fins, det.(*Fused), m, noCollapse, shards)
-	} else {
-		m.SetPhase("detect")
-		t0 := time.Now()
-		rr, aerr = trace.ReplayStream(s, trace.ReplayOptions{
-			Prog:       info.Prog,
-			Finishes:   fins,
-			Sink:       det,
-			NoCollapse: noCollapse,
-			Meter:      m,
-		})
-		if aerr == nil {
-			observeAnalysis(det, rr, time.Since(t0))
-		}
+	m.SetPhase("detect")
+	t0 := time.Now()
+	rr, aerr := trace.ReplayStream(s, trace.ReplayOptions{
+		Prog:       info.Prog,
+		Finishes:   fins,
+		Sink:       det,
+		NoCollapse: noCollapse,
+		Meter:      m,
+	})
+	if aerr == nil {
+		observeAnalysis(det, rr, time.Since(t0))
 	}
 	cerr := <-capDone
 	mStreamChunks.Add(int64(s.Chunks()))

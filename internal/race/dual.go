@@ -17,8 +17,7 @@ import (
 // strictly stronger differential test (agreement is checked per query,
 // over every access pair the scan examines, not just on the final race
 // sets) at roughly half the shadow-memory cost. It is the engine behind
-// -detector both at every -j, and what the sharded -j N analysis path
-// runs per shard.
+// -detector both at every -j.
 
 // OracleDivergence records the first ordering query on which the two
 // backend oracles disagreed. Any divergence is a detector bug, never an
@@ -135,33 +134,21 @@ type Checker interface {
 // both the ESP-Bags and vector-clock oracles in lockstep. Races() is
 // the single scan's result (identical to the serial primary engine's,
 // since the backends must agree); Check surfaces any query divergence
-// as a *DisagreementError. This is the engine behind -detector both;
-// with -j N, AnalyzeParallel shards its scan across workers.
+// as a *DisagreementError. This is the engine behind -detector both at
+// every -j.
 type Fused struct {
 	Detector
-	variant Variant
-	dual    *DualOracle
-
-	// Set by the sharded analysis path: shadow cells summed over the
-	// per-shard detectors, the first divergence across shards (lowest
-	// shard index), and the total cross-check count.
-	shardCells   int
-	shardDiv     *OracleDivergence
-	shardQueries uint64
+	dual *DualOracle
 }
 
 // NewFused returns a fused differential engine over a dual oracle.
 func NewFused(v Variant) *Fused {
 	d := NewDualOracle()
-	return &Fused{Detector: New(v, d), variant: v, dual: d}
+	return &Fused{Detector: New(v, d), dual: d}
 }
 
 // Name identifies the fused engine.
 func (f *Fused) Name() string { return "both" }
-
-// Variant reports the shadow-memory variant the engine was built with
-// (the sharded path replicates it per shard).
-func (f *Fused) Variant() Variant { return f.variant }
 
 // Presize forwards to the underlying detector.
 func (f *Fused) Presize(events int) {
@@ -178,26 +165,21 @@ func (f *Fused) Release() {
 	}
 }
 
-// ShadowCells reports the distinct locations tracked: the local scan's
-// plus, after a sharded analysis, the per-shard detectors' sum.
+// ShadowCells reports the distinct locations the scan tracked.
 func (f *Fused) ShadowCells() int {
-	n := f.shardCells
 	if s, ok := f.Detector.(ShadowSizer); ok {
-		n += s.ShadowCells()
+		return s.ShadowCells()
 	}
-	return n
+	return 0
 }
 
 // Queries reports the number of cross-checked ordering queries.
-func (f *Fused) Queries() uint64 { return f.dual.queries + f.shardQueries }
+func (f *Fused) Queries() uint64 { return f.dual.queries }
 
 // Check returns a *DisagreementError if any ordering query diverged
 // between the two backends, nil otherwise.
 func (f *Fused) Check() error {
 	div := f.dual.div
-	if div == nil {
-		div = f.shardDiv
-	}
 	if div == nil {
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -103,9 +104,11 @@ func analyzeIndependently(t *testing.T, tr *trace.Trace, prog *ast.Program, v ra
 
 // checkEnginesAgree captures src once and analyzes the trace with
 // independent ESP-Bags and vector-clock engines under both variants and
-// both collapse policies; any race-set disagreement fails. Programs that
-// exceed the op budget (e.g. corpus seeds with infinite loops) or fail
-// semantic checks are skipped.
+// both collapse policies; any race-set disagreement fails. The fused
+// engine must report the ESP-Bags race stream exactly, order included,
+// with every ordering query agreeing. Programs that exceed the op
+// budget (e.g. corpus seeds with infinite loops) or fail semantic
+// checks are skipped.
 func checkEnginesAgree(t *testing.T, name, src string) {
 	t.Helper()
 	prog, err := parser.Parse(src)
@@ -125,9 +128,22 @@ func checkEnginesAgree(t *testing.T, name, src string) {
 	}
 	for _, v := range []race.Variant{race.VariantSRW, race.VariantMRW} {
 		for _, noCollapse := range []bool{false, true} {
-			if _, diff := analyzeIndependently(t, tr, info.Prog, v, noCollapse); diff != "" {
+			bags, diff := analyzeIndependently(t, tr, info.Prog, v, noCollapse)
+			if diff != "" {
 				t.Errorf("%s (%s, noCollapse=%v): %s", name, v, noCollapse, diff)
 			}
+			fused := race.NewFused(v)
+			if _, err := race.Analyze(tr, info.Prog, nil, fused, nil, noCollapse); err != nil {
+				t.Fatalf("%s (%s, noCollapse=%v): fused %v", name, v, noCollapse, err)
+			}
+			if err := fused.Check(); err != nil {
+				t.Errorf("%s (%s, noCollapse=%v): fused %v", name, v, noCollapse, err)
+			}
+			if want, got := seqFingerprint(bags), seqFingerprint(fused); !reflect.DeepEqual(want, got) {
+				t.Errorf("%s (%s, noCollapse=%v): fused race stream differs\nespbags %v\nfused   %v",
+					name, v, noCollapse, want, got)
+			}
+			fused.Release()
 		}
 	}
 }
@@ -166,6 +182,64 @@ func TestEnginesAgreeOnGeneratedPrograms(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			checkEnginesAgree(t, fmt.Sprintf("progen-%d", seed), progen.Gen(seed, progen.Default()))
+		})
+	}
+}
+
+// seqFingerprint renders races in their reported sequence order,
+// unsorted, so comparisons check the race stream exactly, ordering
+// included, not just the same set.
+func seqFingerprint(det race.Detector) []string {
+	var out []string
+	for _, r := range det.Races() {
+		out = append(out, fmt.Sprintf("%s:%d->%d@%d", r.Kind, r.Src.ID, r.Dst.ID, r.Loc))
+	}
+	return out
+}
+
+// TestFusedMatchesIndependentEngines checks that the fused dual-oracle
+// engine reports exactly the races of independently run ESP-Bags and
+// vector-clock engines on every benchmark program, with a clean
+// per-query cross-check.
+func TestFusedMatchesIndependentEngines(t *testing.T) {
+	for _, b := range bench.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			prog, err := parser.Parse(b.Src(b.RepairSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.StripFinishes(prog)
+			info, err := sem.Check(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, tr, err := race.Capture(info, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []race.Variant{race.VariantSRW, race.VariantMRW} {
+				bags, diff := analyzeIndependently(t, tr, info.Prog, v, false)
+				if diff != "" {
+					t.Fatalf("independent engines disagree (%s): %s", v, diff)
+				}
+				fused := race.NewFused(v)
+				if _, err := race.Analyze(tr, info.Prog, nil, fused, nil, false); err != nil {
+					t.Fatal(err)
+				}
+				if err := fused.Check(); err != nil {
+					t.Fatalf("fused cross-check (%s): %v", v, err)
+				}
+				want, got := seqFingerprint(bags), seqFingerprint(fused)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("race streams differ (%s):\nespbags %v\nfused   %v", v, want, got)
+				}
+				fused.Release()
+				if r, ok := bags.(race.Releaser); ok {
+					r.Release()
+				}
+			}
 		})
 	}
 }

@@ -2,6 +2,7 @@ package race_test
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -26,10 +27,9 @@ func raceFingerprint(det race.Detector) []string {
 }
 
 // TestAnalyzeParallelMatchesSerial runs the both engine (a *race.Fused
-// at every worker count) over the same captured trace serially and with
-// analysis parallelism and requires identical race sets: the sharded
-// scan must not perturb detection, and the cross-check must still pass
-// on both.
+// at every worker count) over the same captured trace through Analyze
+// and through AnalyzeParallel at 4 workers and requires identical race
+// sets, with the cross-check passing on both.
 func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
@@ -82,8 +82,9 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestAnalyzeParallelFallsThrough checks that a single-oracle engine or
-// a worker count of 1 takes the serial path and still detects.
+// TestAnalyzeParallelFallsThrough checks that a single-oracle engine and
+// the fused engine at a worker count of 1 still detect through
+// AnalyzeParallel.
 func TestAnalyzeParallelFallsThrough(t *testing.T) {
 	b := bench.Get("Mergesort")
 	prog, err := parser.Parse(b.Src(b.RepairSize))
@@ -114,5 +115,58 @@ func TestAnalyzeParallelFallsThrough(t *testing.T) {
 		if len(eng.Races()) == 0 {
 			t.Fatalf("%s: expected races on stripped Mergesort", name)
 		}
+	}
+}
+
+// TestCaptureAnalyzeStreamedMatchesBatch overlaps capture with the
+// streaming analysis and requires the same races and the same
+// complete trace as batch capture-then-analyze.
+func TestCaptureAnalyzeStreamedMatchesBatch(t *testing.T) {
+	for _, b := range bench.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			mkInfo := func() *sem.Info {
+				prog, err := parser.Parse(b.Src(b.RepairSize))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ast.StripFinishes(prog)
+				info, err := sem.Check(prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return info
+			}
+
+			batchInfo := mkInfo()
+			_, tr, err := race.Capture(batchInfo, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := race.NewFused(race.VariantMRW)
+			if _, err := race.Analyze(tr, batchInfo.Prog, nil, batch, nil, false); err != nil {
+				t.Fatal(err)
+			}
+			want := seqFingerprint(batch)
+			batch.Release()
+
+			streamInfo := mkInfo()
+			eng := race.NewFused(race.VariantMRW)
+			_, str, _, err := race.CaptureAnalyzeStreamed(streamInfo, nil, eng, nil, false, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Check(); err != nil {
+				t.Fatalf("streamed cross-check: %v", err)
+			}
+			if str.Len() != tr.Len() {
+				t.Fatalf("streamed capture length %d differs from batch %d", str.Len(), tr.Len())
+			}
+			if got := seqFingerprint(eng); !reflect.DeepEqual(want, got) {
+				t.Fatalf("streamed race stream differs:\nbatch    %v\nstreamed %v", want, got)
+			}
+			eng.Release()
+		})
 	}
 }

@@ -67,11 +67,6 @@ type Race struct {
 	Loc              uint64
 	Kind             Kind
 	SrcSite, DstSite trace.Site
-	// ord is the global access-op index that produced this raw report.
-	// The sharded analysis path merges per-shard report logs by ord to
-	// reconstruct exactly the serial raw-report order; it stays 0 for
-	// serial scans, where append order already is that order.
-	ord uint64
 }
 
 // String renders the race for diagnostics.
@@ -529,9 +524,8 @@ func (d *MRW) Races() []*Race { return d.rec.resolved() }
 
 func (d *MRW) log() *recorder { return &d.rec }
 
-// reportLogger exposes a concrete detector's report log to the sharded
-// analysis path (stamping the global access-op index onto raw reports,
-// merging the per-shard logs) and to the raw-report count.
+// reportLogger exposes a concrete detector's report log to the
+// raw-report count.
 type reportLogger interface {
 	log() *recorder
 }

@@ -1,7 +1,6 @@
 package race
 
 import (
-	"math"
 	"math/bits"
 
 	"finishrepair/internal/dpst"
@@ -32,7 +31,6 @@ type recorder struct {
 	sealedN int      // records in sealed
 	tail    []Race   // open chunk, filled after sealed
 	cache   []*Race  // resolved(), valid until the next report
-	ord     uint64   // stamp for subsequent reports (sharded scans)
 }
 
 func (rc *recorder) reset() {
@@ -41,7 +39,6 @@ func (rc *recorder) reset() {
 	rc.sealed = nil
 	rc.sealedN = 0
 	rc.cache = nil
-	rc.ord = 0
 }
 
 // len is the number of raw reports logged.
@@ -66,66 +63,12 @@ func (rc *recorder) grow() {
 	rc.tail = make([]Race, 0, max(c, 1))
 }
 
-func (rc *recorder) push(r *Race) {
+func (rc *recorder) report(src, dst *dpst.Node, loc uint64, kind Kind, srcSite, dstSite trace.Site) {
 	if len(rc.tail) == cap(rc.tail) {
 		rc.grow()
 	}
-	rc.tail = append(rc.tail, *r)
+	rc.tail = append(rc.tail, Race{Src: src, Dst: dst, Loc: loc, Kind: kind, SrcSite: srcSite, DstSite: dstSite})
 	rc.cache = nil
-}
-
-func (rc *recorder) report(src, dst *dpst.Node, loc uint64, kind Kind, srcSite, dstSite trace.Site) {
-	rc.push(&Race{Src: src, Dst: dst, Loc: loc, Kind: kind, SrcSite: srcSite, DstSite: dstSite, ord: rc.ord})
-}
-
-// merge appends the reports of logs in global ord order. Each log is in
-// ord order already (a shard worker stamps its reports with increasing
-// op indices) and ords are disjoint across logs, so a k-way merge of the
-// log heads reproduces the serial raw-report order; reports sharing an
-// ord stay in their scan order. The records are copied, so the source
-// logs may be reset afterwards.
-func (rc *recorder) merge(logs []*recorder) {
-	type cursor struct {
-		chunks [][]Race
-		c, i   int
-	}
-	var curs []cursor
-	for _, l := range logs {
-		if l.len() > 0 {
-			curs = append(curs, cursor{chunks: l.chunks()})
-		}
-	}
-	head := func(k int) uint64 { return curs[k].chunks[curs[k].c][curs[k].i].ord }
-	for len(curs) > 0 {
-		b := 0
-		for k := 1; k < len(curs); k++ {
-			if head(k) < head(b) {
-				b = k
-			}
-		}
-		limit := uint64(math.MaxUint64)
-		for k := range curs {
-			if k != b {
-				limit = min(limit, head(k))
-			}
-		}
-		// Copy b's run up to the next-smallest head.
-		c := &curs[b]
-		for {
-			r := &c.chunks[c.c][c.i]
-			if r.ord > limit {
-				break
-			}
-			rc.push(r)
-			if c.i++; c.i == len(c.chunks[c.c]) {
-				c.c, c.i = c.c+1, 0
-				if c.c == len(c.chunks) {
-					curs = append(curs[:b], curs[b+1:]...)
-					break
-				}
-			}
-		}
-	}
 }
 
 // logRef is a log position packed as chunk<<reportChunkBits | offset,

@@ -3,7 +3,6 @@ package race_test
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"finishrepair/internal/bench"
@@ -39,17 +38,14 @@ func sameRaces(t *testing.T, what string, got, want []*race.Race, sameTree bool)
 
 // TestResolvedMatchesReference checks the one-pass report dedupe against
 // the map-based reference it replaced, on synthetic raw streams and on
-// the real raw streams of the benchmark programs, serial and sharded.
+// the real raw streams of the benchmark programs, and on the fused
+// engine's races.
 func TestResolvedMatchesReference(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		for seed := int64(1); seed <= 12; seed++ {
 			checkRandomStream(t, seed)
 		}
 	})
-	shardCounts := []int{1, 2, 4}
-	if os.Getenv("TDR_TEST_SHARDS") != "" {
-		shardCounts = testShardCounts(t)
-	}
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -87,14 +83,12 @@ func TestResolvedMatchesReference(t *testing.T) {
 				sameRaces(t, v.String()+" reference after resolve", race.ReferenceRaces(det), want, true)
 			}
 			_, want := pristine(race.VariantMRW, race.NewDualOracle())
-			for _, w := range shardCounts {
-				f := race.NewFused(race.VariantMRW)
-				if _, err := race.AnalyzeSharded(tr, info.Prog, nil, f, nil, false, w); err != nil {
-					t.Fatal(err)
-				}
-				sameRaces(t, fmt.Sprintf("fused W=%d", w), f.Races(), want, false)
-				f.Release()
+			f := race.NewFused(race.VariantMRW)
+			if _, err := race.Analyze(tr, info.Prog, nil, f, nil, false); err != nil {
+				t.Fatal(err)
 			}
+			sameRaces(t, "fused", f.Races(), want, false)
+			f.Release()
 		})
 	}
 }

@@ -60,10 +60,11 @@ type Options struct {
 	// answer, failing the repair with a *race.DisagreementError on the
 	// first query they disagree on.
 	Engine race.EngineKind
-	// Workers bounds the analysis parallelism: with Engine Both the fused
-	// scan is sharded across this many workers, and the independent
-	// per-NS-LCA placement problems are solved on a worker pool of this
-	// size. Results are accumulated in deterministic NS-LCA order, so the
+	// Workers bounds the analysis parallelism: above 1, the first
+	// detection round streams (capture and analysis overlap), and the
+	// independent per-NS-LCA placement problems are solved on a worker
+	// pool of this size. Every detection round is one serial shadow scan.
+	// Results are accumulated in deterministic NS-LCA order, so the
 	// repaired program is byte-identical for any worker count. 0 or 1 is
 	// fully sequential.
 	Workers int
@@ -301,9 +302,6 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 			analyzeParent = replaySpan
 		}
 		engSpan := analyzeParent.Child("detect/" + eng.Name())
-		if opts.Workers > 1 && opts.Engine == race.EngineBoth {
-			engSpan.SetInt("workers", int64(opts.Workers))
-		}
 		if streamed {
 			engSpan.SetInt("streamed", 1)
 		}
@@ -313,7 +311,7 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 			if streamed {
 				captured, tr, rr, aerr = race.CaptureAnalyzeStreamed(info, virtual, eng, opts.Meter, false, opts.Workers)
 			} else {
-				rr, aerr = race.AnalyzeParallel(tr, info.Prog, virtual, eng, opts.Meter, false, opts.Workers)
+				rr, aerr = race.Analyze(tr, info.Prog, virtual, eng, opts.Meter, false)
 			}
 			return aerr
 		})

@@ -245,6 +245,26 @@ func TestRunSequentialCtxTimeout(t *testing.T) {
 	}
 }
 
+// TestDotAndCoverageCtxOpBudget runs the S-DPST rendering and the
+// coverage measurement of a program that never ends under an op budget:
+// both must stop with an op-budget trip rather than record events
+// without bound.
+func TestDotAndCoverageCtxOpBudget(t *testing.T) {
+	p, err := tdr.Load(`func main() { while (true) { } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := tdr.Budget{OpLimit: 1_000_000}
+	_, dotErr := p.SDPSTDotCtx(context.Background(), budget)
+	_, covErr := p.CoverageCtx(context.Background(), budget)
+	for name, err := range map[string]error{"SDPSTDotCtx": dotErr, "CoverageCtx": covErr} {
+		var be *tdr.BudgetExceededError
+		if !errors.As(err, &be) || be.Resource != tdr.ResourceOps {
+			t.Errorf("%s: expected an op-budget trip, got %v", name, err)
+		}
+	}
+}
+
 // TestInjectionPointsSurfaceTypedErrors sweeps every registered fault
 // point: an armed error must surface as an ordinary error from the
 // corresponding entry point, and an armed panic must surface as an

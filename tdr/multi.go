@@ -12,42 +12,36 @@ import (
 	"finishrepair/internal/repair"
 )
 
-// Coverage reports how much of the program the built-in test input
-// exercises — the paper's §9 test-adequacy analysis. An input that
-// leaves async statements unexecuted cannot drive their repair;
-// Coverage.Adequate flags that.
-type CoverageReport struct {
-	Asyncs, AsyncsRun     int
-	Finishes, FinishesRun int
-	Stmts, StmtsRun       int
-	Funcs, FuncsRun       int
-}
-
-// Adequate reports whether every async statement executed.
-func (c CoverageReport) Adequate() bool { return c.AsyncsRun == c.Asyncs }
-
-// String renders the summary.
-func (c CoverageReport) String() string {
-	return fmt.Sprintf("asyncs %d/%d, finishes %d/%d, statements %d/%d, functions %d/%d",
-		c.AsyncsRun, c.Asyncs, c.FinishesRun, c.Finishes, c.StmtsRun, c.Stmts, c.FuncsRun, c.Funcs)
-}
+// CoverageReport reports how much of the program the built-in test
+// input exercises — the paper's §9 test-adequacy analysis. An input that
+// leaves async statements unexecuted cannot drive their repair; Adequate
+// flags that.
+type CoverageReport = coverage.Coverage
 
 // Coverage measures the test coverage of the program's input.
 func (p *Program) Coverage() (CoverageReport, error) {
-	info, err := sem.Check(p.prog)
+	return p.CoverageCtx(context.Background(), Budget{})
+}
+
+// CoverageCtx is Coverage with cancellation and a budget: the measured
+// execution charges against b's op limit and aborts with a typed error
+// when ctx is canceled or a limit trips.
+func (p *Program) CoverageCtx(ctx context.Context, b Budget) (CoverageReport, error) {
+	m := guard.NewMeter(ctx, b)
+	var c CoverageReport
+	err := guard.Protect("coverage", func() error {
+		m.SetPhase("coverage")
+		info, err := sem.Check(p.prog)
+		if err != nil {
+			return err
+		}
+		c, err = coverage.Measure(info, m)
+		return err
+	})
 	if err != nil {
 		return CoverageReport{}, fmt.Errorf("tdr: %w", err)
 	}
-	c, err := coverage.Measure(info)
-	if err != nil {
-		return CoverageReport{}, fmt.Errorf("tdr: %w", err)
-	}
-	return CoverageReport{
-		Asyncs: c.Asyncs, AsyncsRun: c.AsyncsRun,
-		Finishes: c.Finishes, FinishesRun: c.FinishesRun,
-		Stmts: c.Stmts, StmtsRun: c.StmtsRun,
-		Funcs: c.Funcs, FuncsRun: c.FuncsRun,
-	}, nil
+	return c, nil
 }
 
 // RepairAcross applies the tool iteratively over several test inputs

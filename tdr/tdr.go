@@ -312,19 +312,41 @@ func stepPos(n *dpst.Node) string { return n.StmtPos() }
 // S-DPST in Graphviz DOT format with the detected races as dotted red
 // edges — the paper's Figure 9 for your program.
 func (p *Program) SDPSTDot() (string, error) {
-	info, err := sem.Check(p.prog)
+	return p.SDPSTDotCtx(context.Background(), Budget{})
+}
+
+// SDPSTDotCtx is SDPSTDot with cancellation and a budget: the capture
+// charges against b's op limit, the replay that builds the S-DPST
+// against its node limit, and both abort with a typed error when ctx is
+// canceled or a limit trips.
+func (p *Program) SDPSTDotCtx(ctx context.Context, b Budget) (string, error) {
+	m := guard.NewMeter(ctx, b)
+	var dot string
+	err := guard.Protect("detect", func() error {
+		info, err := sem.Check(p.prog)
+		if err != nil {
+			return err
+		}
+		_, tr, err := race.Capture(info, m)
+		if err != nil {
+			return err
+		}
+		det := race.New(race.VariantMRW, race.NewBagsOracle())
+		rr, err := race.Analyze(tr, info.Prog, nil, det, m, false)
+		if err != nil {
+			return err
+		}
+		var edges [][2]*dpst.Node
+		for _, r := range det.Races() {
+			edges = append(edges, [2]*dpst.Node{r.Src, r.Dst})
+		}
+		dot = rr.Tree.DOT(edges)
+		return nil
+	})
 	if err != nil {
 		return "", fmt.Errorf("tdr: %w", err)
 	}
-	_, tree, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
-	if err != nil {
-		return "", fmt.Errorf("tdr: %w", err)
-	}
-	var edges [][2]*dpst.Node
-	for _, r := range det.Races() {
-		edges = append(edges, [2]*dpst.Node{r.Src, r.Dst})
-	}
-	return tree.DOT(edges), nil
+	return dot, nil
 }
 
 // RepairOptions configures Repair.
@@ -343,11 +365,12 @@ type RepairOptions struct {
 	// Tracer records per-phase spans; when nil, the tracer attached by
 	// LoadTraced (if any) is used.
 	Tracer *obs.Tracer
-	// Workers bounds the analysis parallelism: with Engine Both the fused
-	// scan is sharded across this many workers, and the independent
-	// per-NS-LCA placement problems are solved on a worker pool of this
-	// size. The repaired program is byte-identical for any worker count.
-	// 0 or 1 is fully sequential.
+	// Workers bounds the analysis parallelism: above 1, the first
+	// detection round streams (capture and analysis overlap), and the
+	// independent per-NS-LCA placement problems are solved on a worker
+	// pool of this size. Every detection round is one serial shadow scan.
+	// The repaired program is byte-identical for any worker count. 0 or 1
+	// is fully sequential.
 	Workers int
 	// Vet runs the static analyzer over the program before the repair
 	// and cross-references the static race-candidate set against the
