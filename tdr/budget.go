@@ -9,8 +9,8 @@ import (
 // S-DPST nodes, and repair iterations. The zero value applies the
 // defaults (no deadline, DefaultOpLimit ops, unlimited DP states and
 // nodes, DefaultMaxIterations rounds). Pass one to the *Ctx entry points
-// (LoadCtx, DetectCtx, RepairCtx, RunSequentialCtx, RunParallelCtx) or
-// set RepairOptions.Budget.
+// (LoadCtx, DetectCtx, RepairCtx, RunSequentialCtx, RunParallelCtx,
+// SDPSTDotCtx, CoverageCtx) or set RepairOptions.Budget.
 type Budget = guard.Budget
 
 // Resource names the budget dimension that ran out in a
