@@ -187,11 +187,6 @@ func BenchmarkHomeworkGrading(b *testing.B) {
 // regressions with `make bench-diff` (which also enforces both-jN <=
 // both per benchmark).
 func BenchmarkDetectEngines(b *testing.B) {
-	release := func(eng race.Engine) {
-		if r, ok := eng.(race.Releaser); ok {
-			r.Release()
-		}
-	}
 	// reportQuantiles attaches the per-iteration latency quantiles to
 	// the result (p50-ns/op etc.); scripts/benchdiff gates on p95 so a
 	// tail regression can't hide behind a stable mean.
@@ -241,7 +236,7 @@ func BenchmarkDetectEngines(b *testing.B) {
 				if _, err := race.Analyze(tr, info.Prog, nil, eng, nil, false); err != nil {
 					b.Fatal(err)
 				}
-				release(eng)
+				eng.Release()
 				runtime.GC()
 				durs := make([]time.Duration, 0, b.N)
 				b.ResetTimer()
@@ -251,7 +246,7 @@ func BenchmarkDetectEngines(b *testing.B) {
 					if _, err := race.Analyze(tr, info.Prog, nil, eng, nil, false); err != nil {
 						b.Fatal(err)
 					}
-					release(eng)
+					eng.Release()
 					durs = append(durs, time.Since(t0))
 				}
 				reportQuantiles(b, durs)
@@ -274,7 +269,7 @@ func BenchmarkDetectEngines(b *testing.B) {
 				for _, r := range eng.Races() {
 					keys[i] = append(keys[i], r.String())
 				}
-				release(eng)
+				eng.Release()
 				sort.Strings(keys[i])
 			}
 			if !slices.Equal(keys[0], keys[1]) {
@@ -290,7 +285,7 @@ func BenchmarkDetectEngines(b *testing.B) {
 				if err := eng.Check(); err != nil {
 					b.Fatal(err)
 				}
-				release(eng)
+				eng.Release()
 			}})
 		}
 		for _, st := range stages {
@@ -416,40 +411,6 @@ func scopedValid(n int) func(s, e int) bool {
 			x, y = parent[x], parent[y]
 		}
 		return lo[x] == s && hi[y] == e
-	}
-}
-
-// BenchmarkSolveParallel measures the per-NS-LCA DP worker pool: a
-// batch of independent placement problems solved sequentially vs on 4
-// workers (repair rounds with many race groups take this path).
-func BenchmarkSolveParallel(b *testing.B) {
-	const n, batch = 128, 16
-	mkProbs := func() []*repair.Problem {
-		probs := make([]*repair.Problem, batch)
-		for k := range probs {
-			p := &repair.Problem{N: n, T: make([]int64, n), Async: make([]bool, n)}
-			for i := 0; i < n; i++ {
-				p.T[i] = int64((i+k)%13 + 1)
-				p.Async[i] = i%2 == 0
-			}
-			for i := 0; i+3 < n; i += 4 {
-				p.Edges = append(p.Edges, [2]int{i, i + 3})
-			}
-			probs[k] = p
-		}
-		return probs
-	}
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
-			probs := mkProbs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := repair.SolveAll(probs, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

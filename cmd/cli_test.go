@@ -5,9 +5,14 @@ package cmd_test
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -351,6 +356,55 @@ func TestHjrunDotCoverageTimeoutExitsBudgetCode(t *testing.T) {
 		}
 		if !strings.Contains(eb.String(), "deadline exceeded") {
 			t.Errorf("-mode %s: stderr should name the tripped deadline: %s", mode, eb.String())
+		}
+	}
+}
+
+// TestHjrunHelpListsEveryMode: the -mode help in `hjrun -h` names every
+// mode hjrun's mode switch accepts, read from the switch itself.
+func TestHjrunHelpListsEveryMode(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("hjrun", "main.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var modes []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		sw, ok := n.(*ast.SwitchStmt)
+		if !ok {
+			return true
+		}
+		tag, ok := sw.Tag.(*ast.StarExpr)
+		if !ok {
+			return true
+		}
+		if id, ok := tag.X.(*ast.Ident); !ok || id.Name != "mode" {
+			return true
+		}
+		for _, c := range sw.Body.List {
+			for _, e := range c.(*ast.CaseClause).List {
+				if lit, ok := e.(*ast.BasicLit); ok {
+					s, _ := strconv.Unquote(lit.Value)
+					modes = append(modes, s)
+				}
+			}
+		}
+		return false
+	})
+	if len(modes) == 0 {
+		t.Fatal("no case of the mode switch found in hjrun/main.go")
+	}
+	_, stderr, code := runTool(t, "hjrun", "-h")
+	if code != 0 {
+		t.Fatalf("hjrun -h: exit = %d, want 0; stderr: %s", code, stderr)
+	}
+	_, help, ok := strings.Cut(stderr, "-mode string")
+	if !ok {
+		t.Fatalf("hjrun -h lists no -mode flag:\n%s", stderr)
+	}
+	help, _, _ = strings.Cut(help, "(default")
+	for _, m := range modes {
+		if !regexp.MustCompile(`\b` + m + `\b`).MatchString(help) {
+			t.Errorf("-mode help %q does not name mode %q", strings.TrimSpace(help), m)
 		}
 	}
 }

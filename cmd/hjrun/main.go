@@ -61,7 +61,7 @@ const (
 )
 
 func main() {
-	mode := flag.String("mode", "par", "execution mode: seq, par, detect, coverage, or stress")
+	mode := flag.String("mode", "par", "execution mode: seq, par, detect, coverage, stress, or dot")
 	workers := flag.Int("workers", 0, "pool workers for -mode par (0 = GOMAXPROCS)")
 	detector := flag.String("detector", "mrw", "race detector for -mode detect: mrw|srw (ESP-Bags variant) or espbags|vc|both (trace-analysis engine)")
 	adversary := flag.Int("adversary", 0, "schedules for -mode stress (0 = 16)")

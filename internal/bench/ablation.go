@@ -44,7 +44,7 @@ func RunAblation(b *Benchmark) (*AblationStats, error) {
 		return nil, err
 	}
 	for _, noCollapse := range []bool{true, false} {
-		det := race.NewMRW(race.NewBagsOracle())
+		det := race.NewEngine(race.EngineESPBags, race.VariantMRW)
 		t0 := time.Now()
 		res, err := race.Analyze(tr, info.Prog, nil, det, nil, noCollapse)
 		if err != nil {
@@ -67,6 +67,7 @@ func RunAblation(b *Benchmark) (*AblationStats, error) {
 			st.DetectGC = d
 			st.MaxGraphGC = maxGraph
 		}
+		det.Release()
 	}
 	return st, nil
 }

@@ -179,7 +179,7 @@ func RunRepair(b *Benchmark, variant race.Variant, size int) (*RepairStats, erro
 		if err != nil {
 			return nil, err
 		}
-		det := race.New(variant, race.NewBagsOracle())
+		det := race.NewEngine(race.EngineESPBags, variant)
 		dsp := bsp.Child("detect-uncollapsed")
 		t0 := time.Now()
 		_, tr, err := race.Capture(info, nil)
@@ -195,6 +195,7 @@ func RunRepair(b *Benchmark, variant race.Variant, size int) (*RepairStats, erro
 		st.DetectTime = time.Since(t0)
 		st.SDPSTNodes = rr.Tree.NumNodes()
 		st.Races = len(det.Races())
+		det.Release()
 		dsp.SetInt("races", int64(st.Races)).SetInt("sdpst_nodes", int64(st.SDPSTNodes)).End()
 	}
 
@@ -268,7 +269,7 @@ func RaceCounts(b *Benchmark, size int) (srw, mrw int, err error) {
 		return 0, 0, err
 	}
 	for _, v := range []race.Variant{race.VariantSRW, race.VariantMRW} {
-		det := race.New(v, race.NewBagsOracle())
+		det := race.NewEngine(race.EngineESPBags, v)
 		if _, err := race.Analyze(tr, info.Prog, nil, det, nil, true); err != nil {
 			return 0, 0, err
 		}
@@ -277,6 +278,7 @@ func RaceCounts(b *Benchmark, size int) (srw, mrw int, err error) {
 		} else {
 			mrw = len(det.Races())
 		}
+		det.Release()
 	}
 	return srw, mrw, nil
 }

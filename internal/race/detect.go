@@ -27,13 +27,6 @@ var (
 	mDualQueries   = obs.Default().Counter("race.dual_queries")
 )
 
-// ShadowSizer is implemented by detectors that can report the size of
-// their shadow memory (distinct locations tracked), for the
-// race.shadow_cells distribution.
-type ShadowSizer interface {
-	ShadowCells() int
-}
-
 // Variant selects the detector flavor.
 type Variant int
 
@@ -100,9 +93,7 @@ func Tree(info *sem.Info) (*dpst.Tree, error) {
 // races det holds afterwards reference the returned replayed tree.
 func Analyze(tr *trace.Trace, prog *ast.Program, fins []trace.FinishRange, det Detector, m *guard.Meter, noCollapse bool) (*trace.Result, error) {
 	m.SetPhase("detect")
-	if p, ok := det.(Presizer); ok {
-		p.Presize(tr.Len())
-	}
+	det.Presize(tr.Len())
 	t0 := time.Now()
 	rr, err := trace.Replay(tr, trace.ReplayOptions{
 		Prog:       prog,
@@ -122,19 +113,17 @@ func Analyze(tr *trace.Trace, prog *ast.Program, fins []trace.FinishRange, det D
 // and streamed paths.
 func observeAnalysis(det Detector, rr *trace.Result, elapsed time.Duration) {
 	mAnalyzeNs.Observe(elapsed.Nanoseconds())
-	if s, ok := det.(ShadowSizer); ok {
-		mShadowCells.Observe(int64(s.ShadowCells()))
-	}
+	mShadowCells.Observe(int64(det.ShadowCells()))
 	mDetectRuns.Inc()
 	n := int64(len(det.Races()))
 	mRacesFound.Add(n)
-	mRawReports.Add(int64(rawReports(det)))
+	mRawReports.Add(int64(det.log().len()))
 	mRacesPerRun.Observe(n)
 	if rr.Tree != nil {
 		mSDPSTNodes.Set(int64(rr.Tree.NumNodes()))
 	}
-	if f, ok := det.(*Fused); ok {
-		mDualQueries.Add(int64(f.Queries()))
+	if e, ok := det.(*engine); ok && e.dual != nil {
+		mDualQueries.Add(int64(e.dual.queries))
 	}
 }
 
@@ -203,24 +192,15 @@ func CaptureAnalyzeStreamed(info *sem.Info, fins []trace.FinishRange, det Detect
 
 // Detect captures the canonical sequential execution of the checked
 // program and analyzes it with a fresh detector: capture once, analyze
-// once. It returns the replayed S-DPST, the tree the detector's races
-// reference.
+// once, with no budget. It returns the replayed S-DPST, the tree the
+// detector's races reference.
 func Detect(info *sem.Info, v Variant, o Oracle) (*interp.Result, *dpst.Tree, Detector, error) {
-	return DetectWith(info, v, o, nil)
-}
-
-// DetectWith is Detect threaded with the pipeline's shared budget meter:
-// the instrumented execution charges its work units against the
-// cumulative op budget, the replay honors the S-DPST node bound, and
-// both abort with a typed error on cancellation or deadline. A nil
-// meter is unlimited.
-func DetectWith(info *sem.Info, v Variant, o Oracle, m *guard.Meter) (*interp.Result, *dpst.Tree, Detector, error) {
-	res, tr, err := Capture(info, m)
+	res, tr, err := Capture(info, nil)
 	if err != nil {
 		return res, nil, nil, err
 	}
 	det := New(v, o)
-	rr, err := Analyze(tr, info.Prog, nil, det, m, false)
+	rr, err := Analyze(tr, info.Prog, nil, det, nil, false)
 	if err != nil {
 		return res, nil, det, err
 	}

@@ -11,8 +11,8 @@ import (
 //
 // Running two complete detectors — two shadow memories, two scans — and
 // comparing their race sets afterwards would double the shadow work.
-// The fused engine below keeps the cross-check without it: one MRW/SRW
-// shadow memory is scanned once, and every ordering query is answered
+// The fused engine (NewEngine with EngineBoth) keeps the cross-check
+// without it: one MRW/SRW shadow memory is scanned once, and every ordering query is answered
 // by *both* backend oracles, whose answers must agree. That is a
 // strictly stronger differential test (agreement is checked per query,
 // over every access pair the scan examines, not just on the final race
@@ -44,7 +44,7 @@ type DualOracle struct {
 	bags *BagsOracle
 	vc   *VCOracle
 	// queries counts Ordered cross-checks; div records the first
-	// divergence. Both are read after analysis (Fused.Check, metrics).
+	// divergence. Both are read after analysis (Engine.Check, metrics).
 	queries uint64
 	div     *OracleDivergence
 }
@@ -104,11 +104,6 @@ func (o *DualOracle) Ordered(prevTag uint64, prevStep, curStep *dpst.Node) bool 
 	return b
 }
 
-// OrderedByTagOnly reports that dual queries depend only on the recorded
-// epoch (both backends are tag-keyed), so scans may memoize per-tag
-// answers; the memo key is the full epoch, valid for both sides.
-func (o *DualOracle) OrderedByTagOnly() bool { return true }
-
 // Release returns the ESP-Bags side to its reuse pool. The divergence
 // record and query count stay readable.
 func (o *DualOracle) Release() {
@@ -117,76 +112,4 @@ func (o *DualOracle) Release() {
 		o.bags = nil
 	}
 	o.vc = nil
-}
-
-// ----------------------------------------------------------------------
-// Fused engine.
-
-// Checker is implemented by engines that cross-check detector backends
-// and can report a divergence after analysis (Fused, by per-query
-// agreement).
-type Checker interface {
-	Check() error
-}
-
-// Fused is the fused differential engine: one shadow memory of the
-// given variant, scanned once, with every ordering query answered by
-// both the ESP-Bags and vector-clock oracles in lockstep. Races() is
-// the single scan's result (identical to the serial primary engine's,
-// since the backends must agree); Check surfaces any query divergence
-// as a *DisagreementError. This is the engine behind -detector both at
-// every -j.
-type Fused struct {
-	Detector
-	dual *DualOracle
-}
-
-// NewFused returns a fused differential engine over a dual oracle.
-func NewFused(v Variant) *Fused {
-	d := NewDualOracle()
-	return &Fused{Detector: New(v, d), dual: d}
-}
-
-// Name identifies the fused engine.
-func (f *Fused) Name() string { return "both" }
-
-// Presize forwards to the underlying detector.
-func (f *Fused) Presize(events int) {
-	if p, ok := f.Detector.(Presizer); ok {
-		p.Presize(events)
-	}
-}
-
-// Release returns the detector's shadow structures (and the ESP-Bags
-// side of the dual oracle) to their reuse pools.
-func (f *Fused) Release() {
-	if r, ok := f.Detector.(Releaser); ok {
-		r.Release()
-	}
-}
-
-// ShadowCells reports the distinct locations the scan tracked.
-func (f *Fused) ShadowCells() int {
-	if s, ok := f.Detector.(ShadowSizer); ok {
-		return s.ShadowCells()
-	}
-	return 0
-}
-
-// Queries reports the number of cross-checked ordering queries.
-func (f *Fused) Queries() uint64 { return f.dual.queries }
-
-// Check returns a *DisagreementError if any ordering query diverged
-// between the two backends, nil otherwise.
-func (f *Fused) Check() error {
-	div := f.dual.div
-	if div == nil {
-		return nil
-	}
-	n := len(f.Races())
-	return &DisagreementError{
-		Engines: [2]string{"espbags", "vc"},
-		Counts:  [2]int{n, n},
-		Detail:  div.String(),
-	}
 }

@@ -1,7 +1,5 @@
 package race
 
-import "fmt"
-
 // EngineKind selects a race-detector backend.
 type EngineKind int
 
@@ -27,67 +25,71 @@ func (k EngineKind) String() string {
 	}
 }
 
-// Engine is a pluggable race-detector backend: a Detector (which is
-// also a trace.Sink) plus a stable name for spans and reports.
+// Engine is a race-detector backend: one shadow memory (SRW or MRW)
+// checked against one ordering oracle, plus a stable name for spans and
+// reports. Every kind is the same concrete type; only the oracle
+// differs.
 type Engine interface {
 	Detector
 	Name() string
+	// Check returns a *DisagreementError if the fused engine's two
+	// oracles answered an ordering query differently; nil for every
+	// other engine. It stays valid after Release.
+	Check() error
 }
 
-type namedEngine struct {
+// engine is the one Engine implementation: a detector over the oracle
+// its kind selects.
+type engine struct {
 	Detector
-	name string
-}
-
-func (e namedEngine) Name() string { return e.name }
-
-// Presize forwards to the wrapped detector when it supports pre-sizing.
-func (e namedEngine) Presize(events int) {
-	if p, ok := e.Detector.(Presizer); ok {
-		p.Presize(events)
-	}
-}
-
-// Release forwards to the wrapped detector when it is poolable.
-func (e namedEngine) Release() {
-	if r, ok := e.Detector.(Releaser); ok {
-		r.Release()
-	}
-}
-
-// ShadowCells forwards to the wrapped detector when it can report its
-// shadow-memory size; 0 otherwise.
-func (e namedEngine) ShadowCells() int {
-	if s, ok := e.Detector.(ShadowSizer); ok {
-		return s.ShadowCells()
-	}
-	return 0
+	kind EngineKind
+	dual *DualOracle // the fused engine's oracle; nil for the others
 }
 
 // NewEngine builds a detector engine of the given kind and variant.
-// EngineBoth returns a *Fused.
 func NewEngine(k EngineKind, v Variant) Engine {
+	e := &engine{kind: k}
+	var o Oracle
 	switch k {
 	case EngineVC:
-		return namedEngine{New(v, NewVCOracle()), "vc"}
+		o = NewVCOracle()
 	case EngineBoth:
-		return NewFused(v)
+		e.dual = NewDualOracle()
+		o = e.dual
 	default:
-		return namedEngine{New(v, NewBagsOracle()), "espbags"}
+		o = NewBagsOracle()
 	}
+	e.Detector = New(v, o)
+	return e
 }
 
-// DisagreementError reports a divergence between two detector engines
-// run over the same execution: a differential-testing failure, never an
-// expected outcome.
+// NewFused returns the fused differential engine: one shadow memory of
+// the given variant, scanned once, with every ordering query answered
+// by both the ESP-Bags and vector-clock oracles in lockstep. It is
+// NewEngine(EngineBoth, v), the engine behind -detector both at every
+// -j.
+func NewFused(v Variant) Engine { return NewEngine(EngineBoth, v) }
+
+// Name identifies the engine: "espbags", "vc" or "both".
+func (e *engine) Name() string { return e.kind.String() }
+
+func (e *engine) Check() error {
+	if e.dual == nil || e.dual.div == nil {
+		return nil
+	}
+	return &DisagreementError{Divergence: *e.dual.div}
+}
+
+// DisagreementError reports the first ordering query on which the
+// fused engine's ESP-Bags and vector-clock oracles answered
+// differently: a differential-testing failure, never an expected
+// outcome. The engine has one race list, so the query is the only
+// information.
 type DisagreementError struct {
-	Engines [2]string // engine names
-	Counts  [2]int    // race counts per engine
-	Detail  string    // first difference, for diagnostics
+	Divergence OracleDivergence
 }
 
 // Error renders the disagreement.
 func (e *DisagreementError) Error() string {
-	return fmt.Sprintf("detector engines disagree: %s found %d race(s), %s found %d; %s",
-		e.Engines[0], e.Counts[0], e.Engines[1], e.Counts[1], e.Detail)
+	return "detector engines disagree: " + e.Divergence.String()
 }

@@ -236,9 +236,7 @@ func TestFusedMatchesIndependentEngines(t *testing.T) {
 					t.Fatalf("race streams differ (%s):\nespbags %v\nfused   %v", v, want, got)
 				}
 				fused.Release()
-				if r, ok := bags.(race.Releaser); ok {
-					r.Release()
-				}
+				bags.Release()
 			}
 		})
 	}

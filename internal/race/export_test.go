@@ -49,15 +49,10 @@ func resolvedReference(rc *recorder) []*Race {
 // ReferenceRaces runs the reference dedupe over det's raw report log.
 // Call it before det.Races(), which writes resolved endpoints back into
 // the log.
-func ReferenceRaces(det Detector) []*Race {
-	if f, ok := det.(*Fused); ok {
-		det = f.Detector
-	}
-	return resolvedReference(det.(reportLogger).log())
-}
+func ReferenceRaces(det Detector) []*Race { return resolvedReference(det.log()) }
 
 // RawReports is the number of raw reports behind det's races.
-func RawReports(det Detector) int { return rawReports(det) }
+func RawReports(det Detector) int { return det.log().len() }
 
 // ReportLog is a bare race report log, for driving the dedupe with
 // synthetic raw streams.

@@ -37,6 +37,9 @@ func (*DPSTOracle) Ordered(_ uint64, prevStep, curStep *dpst.Node) bool {
 	return !dpst.Parallel(prevStep, curStep)
 }
 
+// Release is a no-op; the oracle has no state.
+func (*DPSTOracle) Release() {}
+
 // ----------------------------------------------------------------------
 // ESP-Bags oracle: disjoint-set S/P bags over tasks and finishes.
 
@@ -155,10 +158,6 @@ func (b *BagsOracle) Tag() uint64 {
 func (b *BagsOracle) Ordered(prevTag uint64, _, _ *dpst.Node) bool {
 	return !b.isP[b.find(int32(2*prevTag))]
 }
-
-// OrderedByTagOnly reports that bags queries depend only on the recorded
-// task, so scans may memoize per-tag answers.
-func (b *BagsOracle) OrderedByTagOnly() bool { return true }
 
 // Release resets the oracle and returns its union-find arrays and stacks
 // to the reuse pool; the oracle must not be used afterwards.

@@ -26,10 +26,10 @@ func raceFingerprint(det race.Detector) []string {
 	return out
 }
 
-// TestAnalyzeParallelMatchesSerial runs the both engine (a *race.Fused
-// at every worker count) over the same captured trace through Analyze
-// and through AnalyzeParallel at 4 workers and requires identical race
-// sets, with the cross-check passing on both.
+// TestAnalyzeParallelMatchesSerial runs the both engine (the fused
+// engine at every worker count) over the same captured trace through
+// Analyze and through AnalyzeParallel at 4 workers and requires
+// identical race sets, with the cross-check passing on both.
 func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
@@ -53,7 +53,7 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 			if _, err := race.Analyze(tr, info.Prog, nil, serial, nil, false); err != nil {
 				t.Fatal(err)
 			}
-			if err := serial.(*race.Fused).Check(); err != nil {
+			if err := serial.Check(); err != nil {
 				t.Fatalf("serial cross-check: %v", err)
 			}
 			want := raceFingerprint(serial)
@@ -62,7 +62,7 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 			if _, err := race.AnalyzeParallel(tr, info.Prog, nil, par, nil, false, 4); err != nil {
 				t.Fatal(err)
 			}
-			if err := par.(*race.Fused).Check(); err != nil {
+			if err := par.Check(); err != nil {
 				t.Fatalf("parallel cross-check: %v", err)
 			}
 			got := raceFingerprint(par)
@@ -75,9 +75,7 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 					t.Fatalf("race %d differs: serial %s, parallel %s", i, want[i], got[i])
 				}
 			}
-			if r, ok := par.(race.Releaser); ok {
-				r.Release()
-			}
+			par.Release()
 		})
 	}
 }

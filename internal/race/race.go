@@ -89,33 +89,18 @@ type Oracle interface {
 	// oracle.
 	Tag() uint64
 	// Ordered reports whether the earlier access (prevTag, prevStep) is
-	// ordered before the current step, i.e. cannot race with it.
+	// ordered before the current step, i.e. cannot race with it. Every
+	// oracle but the stateless DPSTOracle answers from prevTag and the
+	// current execution point alone, so MRW memoizes repeated queries
+	// for one tag within a scan.
 	Ordered(prevTag uint64, prevStep, curStep *dpst.Node) bool
+	// Release returns the oracle's state to its reuse pool, if it has
+	// one; the owning detector's Release calls it.
+	Release()
 }
 
-// TagKeyed is implemented by oracles whose Ordered answer is a function
-// of the recorded tag and the current execution point only (the recorded
-// step is ignored). Detectors then memoize repeated queries for the same
-// tag within one shadow-memory scan — e.g. all accesses by one task
-// answer alike under ESP-Bags.
-type TagKeyed interface {
-	OrderedByTagOnly() bool
-}
-
-func isTagKeyed(o Oracle) bool {
-	tk, ok := o.(TagKeyed)
-	return ok && tk.OrderedByTagOnly()
-}
-
-// Presizer is implemented by detectors that can pre-size their shadow
-// structures from the expected number of trace events before analysis
-// begins. Analyze calls it with the trace length.
-type Presizer interface {
-	Presize(events int)
-}
-
-// Releaser is implemented by detectors that can return their internal
-// shadow structures to a reuse pool once the caller is done with them.
+// Releaser is the Release method every Detector has: it returns the
+// detector's shadow structures and its oracle to their reuse pools.
 // Slices previously returned by Races() stay valid after Release, but
 // the detector itself must not be used again.
 type Releaser interface {
@@ -137,6 +122,14 @@ type Detector interface {
 	FinishEnd(n *dpst.Node)
 	// Races returns the distinct races found, in detection order.
 	Races() []*Race
+	// Presize pre-sizes the shadow structures from the expected number
+	// of trace events; Analyze calls it with the trace length.
+	Presize(events int)
+	// ShadowCells reports the number of distinct locations tracked.
+	ShadowCells() int
+	Releaser
+	// log is the raw report log behind Races.
+	log() *recorder
 }
 
 // access is one recorded shadow-memory entry: unboxed.
@@ -296,6 +289,13 @@ func (d *SRW) Races() []*Race { return d.rec.resolved() }
 // ShadowCells reports the number of distinct locations tracked.
 func (d *SRW) ShadowCells() int { return len(d.cells) }
 
+// Release returns the oracle to its reuse pool; the detector must not
+// be used afterwards. Races already returned stay valid.
+func (d *SRW) Release() {
+	d.oracle.Release()
+	d.oracle = nil
+}
+
 func (d *SRW) log() *recorder { return &d.rec }
 
 // ----------------------------------------------------------------------
@@ -362,7 +362,8 @@ func NewMRW(o Oracle) *MRW {
 		d.cells = make(map[uint64]int32)
 	}
 	d.oracle = o
-	d.tagKeyed = isTagKeyed(o)
+	_, stateless := o.(*DPSTOracle)
+	d.tagKeyed = !stateless
 	return d
 }
 
@@ -379,10 +380,9 @@ func (d *MRW) Presize(events int) {
 }
 
 // Release resets the detector and returns its shadow structures (cell
-// slab, access lists, open report chunk) to the reuse pool. Race slices
-// already returned by Races() remain valid; the detector must not be
-// used afterwards. If the oracle is itself a Releaser it is released
-// too.
+// slab, access lists, open report chunk) and its oracle to their reuse
+// pools. Race slices already returned by Races() remain valid; the
+// detector must not be used afterwards.
 func (d *MRW) Release() {
 	for i := range d.slab[:d.used] {
 		c := &d.slab[i]
@@ -392,9 +392,7 @@ func (d *MRW) Release() {
 	d.used = 0
 	clear(d.cells)
 	d.rec.reset()
-	if r, ok := d.oracle.(Releaser); ok {
-		r.Release()
-	}
+	d.oracle.Release()
 	d.oracle = nil
 	mrwPool.Put(d)
 }
@@ -523,23 +521,3 @@ func (d *MRW) FinishEnd(n *dpst.Node) { d.oracle.FinishEnd(n) }
 func (d *MRW) Races() []*Race { return d.rec.resolved() }
 
 func (d *MRW) log() *recorder { return &d.rec }
-
-// reportLogger exposes a concrete detector's report log to the
-// raw-report count.
-type reportLogger interface {
-	log() *recorder
-}
-
-// rawReports is the number of raw reports behind det's races, before
-// resolution and dedupe; 0 for detectors without a report log.
-func rawReports(det Detector) int {
-	switch d := det.(type) {
-	case *Fused:
-		return rawReports(d.Detector)
-	case namedEngine:
-		return rawReports(d.Detector)
-	case reportLogger:
-		return d.log().len()
-	}
-	return 0
-}

@@ -113,6 +113,5 @@ func (o *VCOracle) Ordered(prevTag uint64, _, _ *dpst.Node) bool {
 	return cur.clock[u] >= c
 }
 
-// OrderedByTagOnly reports that vector-clock queries depend only on the
-// recorded epoch, so scans may memoize per-tag answers.
-func (o *VCOracle) OrderedByTagOnly() bool { return true }
+// Release is a no-op; vector clocks are not pooled.
+func (o *VCOracle) Release() {}

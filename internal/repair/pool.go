@@ -42,26 +42,6 @@ func runIndexed(n, workers int, fn func(worker, i int)) {
 	wg.Wait()
 }
 
-// SolveAll solves independent placement problems on a bounded worker
-// pool and returns the solutions indexed like probs. The problems must
-// be independent (per-NS-LCA DP instances are: each owns its tables and
-// only the shared meter, whose counters are atomic, is touched
-// concurrently). On error the first failing problem in index order
-// wins, so the result does not depend on scheduling.
-func SolveAll(probs []*Problem, workers int) ([]*Solution, error) {
-	sols := make([]*Solution, len(probs))
-	errs := make([]error, len(probs))
-	runIndexed(len(probs), workers, func(_, i int) {
-		sols[i], errs[i] = Solve(probs[i])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return sols, err
-		}
-	}
-	return sols, nil
-}
-
 // placeGroups computes the finish placements for every NS-LCA group of
 // one repair round. The per-group placement problems are independent, so
 // they run on a worker pool (workers <= 1 is sequential); the results

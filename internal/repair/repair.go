@@ -326,21 +326,17 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 			detSpan.End()
 			return iterErr(fmt.Errorf("repair: execution failed: %w", err))
 		}
-		if c, ok := eng.(race.Checker); ok {
-			if cerr := c.Check(); cerr != nil {
-				detSpan.End()
-				return iterErr(fmt.Errorf("repair: %w", cerr))
-			}
+		if cerr := eng.Check(); cerr != nil {
+			detSpan.End()
+			return iterErr(fmt.Errorf("repair: %w", cerr))
 		}
 		detectTime := time.Since(t0)
 		mStageDetectNs.Observe(detectTime.Nanoseconds())
 		races := eng.Races()
-		if rel, ok := eng.(race.Releaser); ok {
-			// The resolved race slice owns its storage and stays valid; the
-			// engine's shadow structures go back to the reuse pool for the
-			// next round's detector.
-			rel.Release()
-		}
+		// The resolved race slice owns its storage and stays valid; the
+		// engine's shadow structures go back to the reuse pool for the
+		// next round's detector.
+		eng.Release()
 		if len(races) == 0 {
 			detSpan.Rename("verify")
 		}

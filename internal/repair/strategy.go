@@ -164,7 +164,8 @@ func (ev *strategyEvaluator) choose(g *group, finishPs []Placement) ([]Placement
 // kind, and the two source sites.
 func (ev *strategyEvaluator) probe(cand []Placement, g *group) (vanished bool, span int64, err error) {
 	merged, _ := mergeVirtual(ev.base, cand)
-	det := race.New(race.VariantMRW, race.NewBagsOracle())
+	det := race.NewEngine(race.EngineESPBags, race.VariantMRW)
+	defer det.Release()
 	rr, err := race.Analyze(ev.tr, ev.prog, merged, det, ev.meter, false)
 	if err != nil {
 		return false, 0, err

@@ -10,6 +10,12 @@
 //	report, err := p.Repair(tdr.RepairOptions{})
 //	fmt.Println(p.Source())       // program with inserted finishes
 //	out, err := p.RunParallel(0)  // execute on real tasks
+//
+// Detector, Engine and Strategy are aliases of the internal packages'
+// race.Variant, race.EngineKind and repair.Strategy, as Budget is of
+// guard.Budget: their constants (MRW, SRW; ESPBags, VC, Both; Finish,
+// Isolated, Auto) are the internal values themselves, with the
+// internal String methods.
 package tdr
 
 import (
@@ -114,28 +120,28 @@ func (p *Program) StripFinishes() int { return ast.StripFinishes(p.prog) }
 func (p *Program) CountFinishes() int { return ast.CountFinishes(p.prog) }
 
 // Detector selects the race-detector variant.
-type Detector int
+type Detector = race.Variant
 
 // Detector variants (paper §4.1).
 const (
-	MRW Detector = iota // multiple reader-writer: all races in one run
-	SRW                 // single reader-writer: classic ESP-Bags subset
+	MRW = race.VariantMRW // multiple reader-writer: all races in one run
+	SRW = race.VariantSRW // single reader-writer: classic ESP-Bags subset
 )
 
 // Engine selects the race-detector backend that analyzes the captured
 // event trace.
-type Engine int
+type Engine = race.EngineKind
 
 // Detector engines.
 const (
 	// ESPBags is the paper's ESP-Bags detector (default).
-	ESPBags Engine = iota
+	ESPBags = race.EngineESPBags
 	// VC is the vector-clock detector (after Kumar et al.).
-	VC
+	VC = race.EngineVC
 	// Both runs the fused engine: one shadow scan of the replayed
 	// execution whose every ordering query ESP-Bags and VC both answer;
 	// the first query they disagree on surfaces as a *DisagreementError.
-	Both
+	Both = race.EngineBoth
 )
 
 // DisagreementError reports that the ESP-Bags and vector-clock oracles
@@ -163,59 +169,26 @@ func ParseDetector(s string) (Detector, Engine, bool) {
 	return MRW, ESPBags, false
 }
 
-func engineKind(e Engine) race.EngineKind {
-	switch e {
-	case VC:
-		return race.EngineVC
-	case Both:
-		return race.EngineBoth
-	default:
-		return race.EngineESPBags
-	}
-}
-
-// Strategy selects how the repair eliminates each race group.
-type Strategy int
+// Strategy selects how the repair eliminates each race group; String
+// renders its flag value.
+type Strategy = repair.Strategy
 
 // Repair strategies.
 const (
 	// Finish is the paper's repair: insert finish statements (default).
-	Finish Strategy = iota
+	Finish = repair.StrategyFinish
 	// Isolated wraps commutative conflicting updates in isolated
 	// blocks wherever that eliminates the group's races, falling back
 	// to finish insertion per group where it does not.
-	Isolated
+	Isolated = repair.StrategyIsolated
 	// Auto evaluates both candidates per race group and picks the one
 	// with the shorter post-repair critical path (finish on ties).
-	Auto
+	Auto = repair.StrategyAuto
 )
 
-// ParseStrategy maps a -strategy flag value to a Strategy.
-func ParseStrategy(s string) (Strategy, bool) {
-	r, ok := repair.ParseStrategy(s)
-	switch r {
-	case repair.StrategyIsolated:
-		return Isolated, ok
-	case repair.StrategyAuto:
-		return Auto, ok
-	default:
-		return Finish, ok
-	}
-}
-
-// String renders the strategy as its flag value.
-func (s Strategy) String() string { return repairStrategy(s).String() }
-
-func repairStrategy(s Strategy) repair.Strategy {
-	switch s {
-	case Isolated:
-		return repair.StrategyIsolated
-	case Auto:
-		return repair.StrategyAuto
-	default:
-		return repair.StrategyFinish
-	}
-}
+// ParseStrategy maps a -strategy flag value to a Strategy; "iso" is an
+// alias of "isolated".
+func ParseStrategy(s string) (Strategy, bool) { return repair.ParseStrategy(s) }
 
 // RaceInfo describes one detected data race.
 type RaceInfo struct {
@@ -255,58 +228,61 @@ func (p *Program) DetectCtx(ctx context.Context, d Detector, b Budget) (*RaceRep
 // vector-clock oracle on every ordering query and fails with a
 // *DisagreementError on the first divergence.
 func (p *Program) DetectEngineCtx(ctx context.Context, d Detector, e Engine, b Budget) (*RaceReport, error) {
+	eng := race.NewEngine(e, d)
+	defer eng.Release()
+	sp := p.tracer.Start("detect").
+		SetStr("variant", d.String()).
+		SetStr("engine", eng.Name())
+	defer sp.End()
+	res, tree, err := p.captureAnalyze(ctx, b, eng)
+	if err != nil {
+		return nil, err
+	}
+	sp.SetInt("races", int64(len(eng.Races()))).
+		SetInt("sdpst_nodes", int64(tree.NumNodes()))
+	rep := &RaceReport{SDPSTNodes: tree.NumNodes(), Output: res.Output}
+	for _, r := range eng.Races() {
+		rep.Races = append(rep.Races, RaceInfo{
+			Kind:    r.Kind.String(),
+			SrcStep: r.Src.ID,
+			DstStep: r.Dst.ID,
+			SrcPos:  r.Src.StmtPos(),
+			DstPos:  r.Dst.StmtPos(),
+		})
+	}
+	return rep, nil
+}
+
+// captureAnalyze is the detection step of DetectEngineCtx and
+// SDPSTDotCtx: it captures the program's canonical execution under b,
+// analyzes the trace with eng and fails with a *DisagreementError if
+// the fused engine's oracles diverged. It returns the run and its
+// replayed S-DPST, the tree eng's races reference.
+func (p *Program) captureAnalyze(ctx context.Context, b Budget, eng race.Engine) (*interp.Result, *dpst.Tree, error) {
 	m := guard.NewMeter(ctx, b)
-	v := raceVariant(d)
-	eng := race.NewEngine(engineKind(e), v)
-	var rep *RaceReport
+	var res *interp.Result
+	var tree *dpst.Tree
 	err := guard.Protect("detect", func() error {
 		info, err := sem.Check(p.prog)
 		if err != nil {
 			return err
 		}
-		sp := p.tracer.Start("detect").
-			SetStr("variant", v.String()).
-			SetStr("engine", eng.Name())
-		res, tr, err := race.Capture(info, m)
+		r, tr, err := race.Capture(info, m)
 		if err != nil {
-			sp.End()
 			return err
 		}
 		rr, err := race.Analyze(tr, info.Prog, nil, eng, m, false)
 		if err != nil {
-			sp.End()
 			return err
 		}
-		if c, ok := eng.(race.Checker); ok {
-			if cerr := c.Check(); cerr != nil {
-				sp.End()
-				return cerr
-			}
-		}
-		sp.SetInt("races", int64(len(eng.Races()))).
-			SetInt("sdpst_nodes", int64(rr.Tree.NumNodes())).
-			End()
-		rep = &RaceReport{SDPSTNodes: rr.Tree.NumNodes(), Output: res.Output}
-		for _, r := range eng.Races() {
-			rep.Races = append(rep.Races, RaceInfo{
-				Kind:    r.Kind.String(),
-				SrcStep: r.Src.ID,
-				DstStep: r.Dst.ID,
-				SrcPos:  stepPos(r.Src),
-				DstPos:  stepPos(r.Dst),
-			})
-		}
-		return nil
+		res, tree = r, rr.Tree
+		return eng.Check()
 	})
 	if err != nil {
-		return nil, fmt.Errorf("tdr: %w", err)
+		return nil, nil, fmt.Errorf("tdr: %w", err)
 	}
-	return rep, nil
+	return res, tree, nil
 }
-
-// stepPos renders the source position of the first statement a step
-// covers, when known.
-func stepPos(n *dpst.Node) string { return n.StmtPos() }
 
 // SDPSTDot runs the canonical instrumented execution and renders the
 // S-DPST in Graphviz DOT format with the detected races as dotted red
@@ -320,33 +296,17 @@ func (p *Program) SDPSTDot() (string, error) {
 // against its node limit, and both abort with a typed error when ctx is
 // canceled or a limit trips.
 func (p *Program) SDPSTDotCtx(ctx context.Context, b Budget) (string, error) {
-	m := guard.NewMeter(ctx, b)
-	var dot string
-	err := guard.Protect("detect", func() error {
-		info, err := sem.Check(p.prog)
-		if err != nil {
-			return err
-		}
-		_, tr, err := race.Capture(info, m)
-		if err != nil {
-			return err
-		}
-		det := race.New(race.VariantMRW, race.NewBagsOracle())
-		rr, err := race.Analyze(tr, info.Prog, nil, det, m, false)
-		if err != nil {
-			return err
-		}
-		var edges [][2]*dpst.Node
-		for _, r := range det.Races() {
-			edges = append(edges, [2]*dpst.Node{r.Src, r.Dst})
-		}
-		dot = rr.Tree.DOT(edges)
-		return nil
-	})
+	eng := race.NewEngine(ESPBags, MRW)
+	defer eng.Release()
+	_, tree, err := p.captureAnalyze(ctx, b, eng)
 	if err != nil {
-		return "", fmt.Errorf("tdr: %w", err)
+		return "", err
 	}
-	return dot, nil
+	var edges [][2]*dpst.Node
+	for _, r := range eng.Races() {
+		edges = append(edges, [2]*dpst.Node{r.Src, r.Dst})
+	}
+	return tree.DOT(edges), nil
 }
 
 // RepairOptions configures Repair.
@@ -505,13 +465,6 @@ func (r *RepairReport) RacesPerIteration() []int {
 	return out
 }
 
-func raceVariant(d Detector) race.Variant {
-	if d == SRW {
-		return race.VariantSRW
-	}
-	return race.VariantMRW
-}
-
 // Repair runs the test-driven repair loop, mutating the program in
 // place. After a successful repair the program is data-race-free for
 // this input and Source returns the rewritten text.
@@ -531,14 +484,14 @@ func (opts RepairOptions) loop(tr *obs.Tracer, m *guard.Meter) repair.Options {
 		maxIter = opts.Budget.Iterations()
 	}
 	return repair.Options{
-		Variant:       raceVariant(opts.Detector),
-		Engine:        engineKind(opts.Engine),
+		Variant:       opts.Detector,
+		Engine:        opts.Engine,
 		MaxIterations: maxIter,
 		UseTraceFiles: true,
 		Tracer:        tr,
 		Meter:         m,
 		Workers:       opts.Workers,
-		Strategy:      repairStrategy(opts.Strategy),
+		Strategy:      opts.Strategy,
 	}
 }
 
@@ -606,7 +559,7 @@ func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairRep
 	var ex *provenance.Explain
 	if opts.Explain {
 		ex = &provenance.Explain{
-			Detector: engineKind(opts.Engine).String(),
+			Detector: opts.Engine.String(),
 			Engine:   "replay",
 		}
 		ropts.Explain = ex
