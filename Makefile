@@ -49,12 +49,14 @@ bench-diff:
 # "correct":true and "failed":0.
 bench-pipeline:
 	cd pipebench && $(GO) vet ./... && $(GO) test ./...
-	@out=$$(bash pipebench/run.sh --workload paper-suite --seed 1 --seconds 3 --trace 0 | tail -n 1); \
-	echo "$$out"; \
-	case "$$out" in \
-		*'"correct":true,'*'"failed":0,'*) ;; \
-		*) echo "pipebench smoke run failed"; exit 1;; \
-	esac
+	@for w in paper-suite progen-commute adversary-k16; do \
+		out=$$(bash pipebench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 | tail -n 1); \
+		echo "$$out"; \
+		case "$$out" in \
+			*'"correct":true,'*'"failed":0,'*) ;; \
+			*) echo "pipebench smoke run failed: $$w"; exit 1;; \
+		esac; \
+	done
 
 # Regenerate the archived evaluation output (all paper tables, figures,
 # and studies). The full figure-16 inputs take a few minutes; lower

@@ -147,19 +147,18 @@ func RunRepair(b *Benchmark, variant race.Variant, size int) (*RepairStats, erro
 	bsp := tracer.Start("bench-repair").SetStr("benchmark", b.Name).SetStr("variant", variant.String())
 	defer bsp.End()
 
-	// HJ-Seq: the serial elision runtime.
-	elideInfo, err := loadChecked(src)
+	// The buggy program: every finish stripped. One check serves the
+	// elision, the detection pass, the repair and the repaired span.
+	info, err := loadChecked(src)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	ast.StripFinishes(elideInfo.Prog)
-	elideInfo, err = sem.Check(elideInfo.Prog)
-	if err != nil {
-		return nil, fmt.Errorf("%s elision: %w", b.Name, err)
-	}
+	ast.StripFinishes(info.Prog)
+
+	// HJ-Seq: the serial elision runtime.
 	esp := bsp.Child("seq-elision")
 	t0 := time.Now()
-	elideRes, err := interp.Run(elideInfo, interp.Options{Mode: interp.Elide})
+	elideRes, err := interp.Run(info, interp.Options{Mode: interp.Elide})
 	esp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s elision run: %w", b.Name, err)
@@ -170,15 +169,6 @@ func RunRepair(b *Benchmark, variant race.Variant, size int) (*RepairStats, erro
 	// S-DPST without collapsing task-free scopes, so Table 2/3 node and
 	// race counts come from an uncollapsed run.
 	{
-		prog, err := parser.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		ast.StripFinishes(prog)
-		info, err := sem.Check(prog)
-		if err != nil {
-			return nil, err
-		}
 		det := race.NewEngine(race.EngineESPBags, variant)
 		dsp := bsp.Child("detect-uncollapsed")
 		t0 := time.Now()
@@ -199,14 +189,9 @@ func RunRepair(b *Benchmark, variant race.Variant, size int) (*RepairStats, erro
 		dsp.SetInt("races", int64(st.Races)).SetInt("sdpst_nodes", int64(st.SDPSTNodes)).End()
 	}
 
-	// Buggy program: strip every finish, then repair (the repair loop
-	// itself uses the collapsed S-DPST; see the ablation table).
-	buggy, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	ast.StripFinishes(buggy)
-	rep, err := repair.Repair(buggy, repair.Options{Variant: variant, UseTraceFiles: true, ParentSpan: bsp, Meter: newMeter(), Workers: workers})
+	// Repair the buggy program (the repair loop itself uses the collapsed
+	// S-DPST; see the ablation table).
+	rep, err := repair.RepairChecked(info, repair.Options{Variant: variant, UseTraceFiles: true, ParentSpan: bsp, Meter: newMeter(), Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("%s repair: %w", b.Name, err)
 	}
@@ -235,11 +220,7 @@ func RunRepair(b *Benchmark, variant race.Variant, size int) (*RepairStats, erro
 	if err != nil {
 		return nil, fmt.Errorf("%s original instrumented run: %w", b.Name, err)
 	}
-	repInfo, err := sem.Check(buggy)
-	if err != nil {
-		return nil, err
-	}
-	rm, err := modelMetrics(repInfo)
+	rm, err := modelMetrics(info)
 	if err != nil {
 		return nil, fmt.Errorf("%s repaired instrumented run: %w", b.Name, err)
 	}
@@ -319,10 +300,6 @@ func RunPerf(b *Benchmark, size, runs int) (*PerfStats, error) {
 		return nil, err
 	}
 	ast.StripFinishes(elideInfo.Prog)
-	elideInfo, err = sem.Check(elideInfo.Prog)
-	if err != nil {
-		return nil, err
-	}
 	var seqOut string
 	ps.Seq, ps.SeqCI, err = timeRuns(runs, func() error {
 		r, err := interp.Run(elideInfo, interp.Options{Mode: interp.Elide})

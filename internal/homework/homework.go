@@ -222,11 +222,11 @@ func ToolRepair() (span int64, normalizedSrc string, err error) {
 	if err != nil {
 		return 0, "", err
 	}
-	if _, err := repair.Repair(prog, repair.Options{}); err != nil {
-		return 0, "", err
-	}
 	info, err := sem.Check(prog)
 	if err != nil {
+		return 0, "", err
+	}
+	if _, err := repair.RepairChecked(info, repair.Options{}); err != nil {
 		return 0, "", err
 	}
 	tree, err := race.Tree(info)
@@ -265,6 +265,7 @@ func Grade(sub Submission, toolSpan int64, toolSrc string) (*GradeResult, error)
 		return nil, fmt.Errorf("submission %d: %w", sub.ID, err)
 	}
 	gr := &GradeResult{Submission: sub, ToolSpan: toolSpan, Races: len(det.Races())}
+	det.Release()
 	if gr.Races > 0 {
 		gr.Verdict = Racy
 		return gr, nil

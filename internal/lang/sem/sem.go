@@ -8,9 +8,18 @@
 // globals get slots in a program-wide array.
 //
 // Scoping: blocks, if/while/for bodies, and async bodies open scopes.
-// The body of a finish statement is deliberately scope-TRANSPARENT: a
-// finish inserted by the repair tool around a statement range must not
-// capture variable declarations used after the range.
+// The bodies of finish and isolated statements are deliberately
+// scope-TRANSPARENT: a finish inserted by the repair tool around a
+// statement range must not capture variable declarations used after the
+// range.
+//
+// Transparency makes an Info outlive such edits. Moving existing
+// statements into or out of finish and isolated bodies (ast.StripFinishes,
+// the repair's rewrite) creates no declaration and no expression, so a
+// re-check would compute the same slots, frame sizes, global count and
+// expression types, and only rebind every Ident.Sym to a fresh Symbol.
+// tdr therefore checks each loaded program once and reuses that Info in
+// every later stage.
 package sem
 
 import (

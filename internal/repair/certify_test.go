@@ -126,10 +126,11 @@ func repairFuzzCorpus(t *testing.T) map[string]string {
 	return seeds
 }
 
-// repairRun is one executed repairCase: the repaired AST, its report,
-// the explain record and the repair error, if any.
+// repairRun is one executed repairCase: the input's one check, whose
+// Prog the repair rewrote in place, the report, the explain record and
+// the repair error, if any.
 type repairRun struct {
-	prog    *ast.Program
+	info    *sem.Info
 	rep     *repair.Report
 	explain *provenance.Explain
 	err     error
@@ -146,7 +147,7 @@ func (c repairCase) input() *ast.Program {
 
 func (c repairCase) run(t *testing.T) repairRun {
 	t.Helper()
-	prog := c.input()
+	info := sem.MustCheck(c.input())
 	opts := repair.Options{
 		Variant:       c.variant,
 		Strategy:      c.strategy,
@@ -156,8 +157,8 @@ func (c repairCase) run(t *testing.T) repairRun {
 	if c.budget {
 		opts.Meter = guard.NewMeter(context.Background(), guard.Budget{OpLimit: 2_000_000})
 	}
-	rep, err := repair.Repair(prog, opts)
-	return repairRun{prog: prog, rep: rep, explain: opts.Explain, err: err}
+	rep, err := repair.RepairChecked(info, opts)
+	return repairRun{info: info, rep: rep, explain: opts.Explain, err: err}
 }
 
 func hash64(s string) string {
@@ -173,7 +174,7 @@ func (r repairRun) goldenRow(name string) string {
 		races[i] = strconv.Itoa(it.Races)
 	}
 	row := fmt.Sprintf("%s src=%s inserted=%d iterations=%d races=%s out=%s",
-		name, hash64(printer.Print(r.prog)), r.rep.Inserted, len(r.rep.Iterations),
+		name, hash64(printer.Print(r.info.Prog)), r.rep.Inserted, len(r.rep.Iterations),
 		strings.Join(races, ","), hash64(r.rep.Output))
 	if r.err != nil {
 		row += fmt.Sprintf(" err=%q", r.err.Error())
@@ -246,12 +247,14 @@ func certifyCases(t *testing.T) []repairCase {
 // artifact the user receives, the printed program, rather than on the
 // loop's virtual-finish model:
 //
-//  1. the repaired AST's S-DPST has the Work and Span the last explain
-//     iteration recorded for the replayed tree;
+//  1. the repaired AST, run on the input's one check with no re-check,
+//     has the Work and Span the last explain iteration recorded for the
+//     replayed tree: the check stays valid across the repair's rewrite;
 //  2. the printed program re-parses, passes sem, and MRW ESP-Bags finds
 //     no race in it;
-//  3. its Output equals the input's serial elision and the report's
-//     Output, and its Work and Span equal that same critical path.
+//  3. its Output equals the input's serial elision, the serial elision
+//     of the repaired AST on that same check, and the report's Output,
+//     and its Work and Span equal that same critical path.
 func TestRepairedProgramCertifies(t *testing.T) {
 	for _, c := range certifyCases(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -266,15 +269,19 @@ func TestRepairedProgramCertifies(t *testing.T) {
 			}
 			want := *its[len(its)-1].CPL
 
-			tree, err := race.Tree(sem.MustCheck(r.prog))
+			tree, err := race.Tree(r.info)
 			if err != nil {
 				t.Fatalf("repaired AST: %v", err)
 			}
 			if m := cpl.Analyze(tree); m.Work != want.Work || m.Span != want.Span {
 				t.Errorf("repaired AST work/span = %d/%d, final replay predicted %d/%d", m.Work, m.Span, want.Work, want.Span)
 			}
+			repairedElision, err := interp.Run(r.info, interp.Options{Mode: interp.Elide})
+			if err != nil {
+				t.Fatalf("serial elision of the repaired AST: %v", err)
+			}
 
-			src := printer.Print(r.prog)
+			src := printer.Print(r.info.Prog)
 			printed, err := parser.Parse(src)
 			if err != nil {
 				t.Fatalf("printed program does not parse: %v\n%s", err, src)
@@ -298,8 +305,9 @@ func TestRepairedProgramCertifies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("serial elision: %v", err)
 			}
-			if res.Output != elision.Output || res.Output != r.rep.Output {
-				t.Errorf("printed program output %q; serial elision %q; report %q", res.Output, elision.Output, r.rep.Output)
+			if res.Output != elision.Output || res.Output != repairedElision.Output || res.Output != r.rep.Output {
+				t.Errorf("printed program output %q; serial elision %q; repaired AST's elision %q; report %q",
+					res.Output, elision.Output, repairedElision.Output, r.rep.Output)
 			}
 		})
 	}

@@ -42,9 +42,9 @@ type Options struct {
 	// encoding, mirroring the paper's detector/analyzer file boundary
 	// (default true).
 	UseTraceFiles bool
-	// Tracer records per-phase spans of every iteration (sem-check,
-	// detect/verify, trace-io, group-nslca, dp-place, rewrite). Nil
-	// disables tracing at zero cost.
+	// Tracer records per-phase spans of every iteration (detect/verify,
+	// trace-io, group-nslca, dp-place, rewrite), plus Repair's sem-check.
+	// Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 	// ParentSpan, when set, nests the repair's span tree under it
 	// instead of opening a new root on Tracer (callers wrapping the
@@ -172,15 +172,36 @@ func (e *MaxIterationsError) Error() string {
 	return fmt.Sprintf("repair: %d race(s) remain after %d iterations", e.RemainingRaces, e.Iterations)
 }
 
-// Repair runs the test-driven repair loop on prog, mutating it in place:
-// detect races on the canonical execution, compute finish placements,
-// and repeat until a detection round is race-free. The instrumented
-// program executes exactly once: iteration 0 semantics-checks it and
-// records the event-trace IR, and every detection round (including the
-// first) replays that trace into a detector engine, with the finish
-// scopes accumulated so far injected virtually. The program text is
-// only touched once, on exit, when the accumulated scope set is applied.
+// Repair semantics-checks prog, recording a "sem-check" span, and runs
+// RepairChecked on it. It serves callers that hold a bare AST; a program
+// that is already checked goes to RepairChecked directly.
 func Repair(prog *ast.Program, opts Options) (*Report, error) {
+	sp := opts.ParentSpan.Child("sem-check")
+	if opts.ParentSpan == nil {
+		sp = opts.Tracer.Start("sem-check")
+	}
+	info, err := sem.Check(prog)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("repair: program invalid: %w", err)
+	}
+	return RepairChecked(info, opts)
+}
+
+// RepairChecked runs the test-driven repair loop on the checked program
+// info.Prog, mutating it in place: detect races on the canonical
+// execution, compute finish placements, and repeat until a detection
+// round is race-free. The instrumented program executes exactly once:
+// iteration 0 records the event-trace IR, and every detection round
+// (including the first) replays that trace into a detector engine, with
+// the finish scopes accumulated so far injected virtually. The program
+// text is only touched once, on exit, when the accumulated scope set is
+// applied. info stays valid for the rewritten program: the inserted
+// finish and isolated bodies are scope-transparent (see package sem).
+func RepairChecked(info *sem.Info, opts Options) (*Report, error) {
+	if opts.Strategy < StrategyFinish || opts.Strategy > StrategyAuto {
+		return nil, fmt.Errorf("repair: unknown strategy %d", opts.Strategy)
+	}
 	if opts.MaxIterations == 0 {
 		opts.MaxIterations = 10
 	}
@@ -199,7 +220,6 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 	var (
 		captured *interp.Result
 		tr       *trace.Trace
-		info     *sem.Info
 		// virtual is the accumulated finish-scope set, kept canonical
 		// (deduplicated, partial overlaps merged) in the coordinates of
 		// the original program.
@@ -214,11 +234,11 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 		if len(virtual) == 0 {
 			return nil
 		}
-		placements, err := virtualPlacements(prog, virtual)
+		placements, err := virtualPlacements(info.Prog, virtual)
 		if err != nil {
 			return err
 		}
-		applied, err := applyPlacements(prog, placements)
+		applied, err := applyPlacements(info.Prog, placements)
 		if err != nil {
 			return err
 		}
@@ -254,16 +274,6 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 			_ = finish()
 			iterSpan.SetStr("error", err.Error()).End()
 			return rep, err
-		}
-
-		if iter == 0 {
-			semSpan := iterSpan.Child("sem-check")
-			var err error
-			info, err = sem.Check(prog)
-			semSpan.End()
-			if err != nil {
-				return iterErr(fmt.Errorf("repair: program invalid: %w", err))
-			}
 		}
 
 		detSpan := iterSpan.Child("detect").
@@ -349,6 +359,8 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 		if opts.UseTraceFiles {
 			ioSpan := iterSpan.Child("trace-io")
 			var buf bytes.Buffer
+			// ReadTrace drains buf, so its length is taken after the write.
+			n := 0
 			err = guard.Protect("trace-io", func() error {
 				opts.Meter.SetPhase("trace-io")
 				if err := faults.Inject(faults.TraceIO); err != nil {
@@ -357,12 +369,13 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 				if err := race.WriteTrace(&buf, races); err != nil {
 					return err
 				}
-				rep.TraceBytes += buf.Len()
+				n = buf.Len()
 				var rerr error
 				races, rerr = race.ReadTrace(&buf, rr.Tree)
 				return rerr
 			})
-			ioSpan.SetInt("trace_bytes", int64(buf.Len())).End()
+			rep.TraceBytes += n
+			ioSpan.SetInt("trace_bytes", int64(n)).End()
 			if err != nil {
 				return iterErr(err)
 			}

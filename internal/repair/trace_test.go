@@ -53,6 +53,28 @@ func TestRepairTracerSpans(t *testing.T) {
 	}
 }
 
+// TestRepairTraceIOBytes checks that the trace-io spans report the bytes
+// each round wrote: their trace_bytes sum to Report.TraceBytes, which is
+// non-zero for a racy program.
+func TestRepairTraceIOBytes(t *testing.T) {
+	tr := obs.New()
+	rep, err := repair.Repair(parser.MustParse(fibSrc), repair.Options{UseTraceFiles: true, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, r := range tr.Records() {
+		for _, a := range r.Attrs {
+			if r.Name == "trace-io" && a.Key == "trace_bytes" {
+				sum += a.Int
+			}
+		}
+	}
+	if rep.TraceBytes == 0 || sum != int64(rep.TraceBytes) {
+		t.Errorf("trace-io spans report %d trace bytes, report %d (want equal and non-zero)", sum, rep.TraceBytes)
+	}
+}
+
 // TestRepairMaxIterationsError checks the typed exhaustion error and the
 // partial report accompanying it.
 func TestRepairMaxIterationsError(t *testing.T) {

@@ -185,11 +185,7 @@ func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *Rep
 			return nil
 		}
 
-		info, serr := sem.Check(p.prog)
-		if serr != nil {
-			return serr
-		}
-		oracle, oerr := adversary.Oracle(info, m)
+		oracle, oerr := adversary.Oracle(p.info, m)
 		if oerr != nil {
 			return oerr
 		}
@@ -205,7 +201,7 @@ func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *Rep
 			if len(uncovered) > 0 {
 				sp := tr.Start("gap-search").SetInt("gaps", int64(len(uncovered)))
 				for _, c := range uncovered {
-					gres, gerr := adversary.SearchGap(info, oracle, adversary.GapTarget{
+					gres, gerr := adversary.SearchGap(p.info, oracle, adversary.GapTarget{
 						APos: c.APos, BPos: c.BPos, Desc: c.String(),
 					}, sopts)
 					if gerr != nil {
@@ -230,7 +226,7 @@ func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *Rep
 		locs := targetLocs(targets)
 		scheds := adversary.VerifySchedules(locs, k, opts.SchedSeed)
 		sp := tr.Start("adversarial-verify").SetInt("schedules", int64(len(scheds)))
-		vrep, verr := adversary.Verify(info, oracle, scheds, sopts)
+		vrep, verr := adversary.Verify(p.info, oracle, scheds, sopts)
 		if verr != nil {
 			sp.End()
 			return verr
@@ -323,24 +319,20 @@ func (p *Program) Stress(ctx context.Context, opts StressOptions) (*StressReport
 	var rep *StressReport
 	err := guard.Protect("stress", func() error {
 		m.SetPhase("stress")
-		info, serr := sem.Check(p.prog)
-		if serr != nil {
-			return serr
-		}
-		oracle, oerr := adversary.Oracle(info, m)
+		oracle, oerr := adversary.Oracle(p.info, m)
 		if oerr != nil {
 			return oerr
 		}
 		if oracle.Err != nil {
 			return fmt.Errorf("sequential oracle failed: %w", oracle.Err)
 		}
-		locs := make([]uint64, 0, info.GlobalCount)
-		for i := 0; i < info.GlobalCount; i++ {
+		locs := make([]uint64, 0, p.info.GlobalCount)
+		for i := 0; i < p.info.GlobalCount; i++ {
 			locs = append(locs, interp.GlobalLoc(i))
 		}
 		scheds := adversary.VerifySchedules(locs, k, opts.Seed)
 		sp := p.tracer.Start("adversarial-stress").SetInt("schedules", int64(len(scheds)))
-		vrep, verr := adversary.Verify(info, oracle, scheds, adversary.SearchOptions{Meter: m, Seed: opts.Seed})
+		vrep, verr := adversary.Verify(p.info, oracle, scheds, adversary.SearchOptions{Meter: m, Seed: opts.Seed})
 		if verr != nil {
 			sp.End()
 			return verr

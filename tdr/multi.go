@@ -31,11 +31,8 @@ func (p *Program) CoverageCtx(ctx context.Context, b Budget) (CoverageReport, er
 	var c CoverageReport
 	err := guard.Protect("coverage", func() error {
 		m.SetPhase("coverage")
-		info, err := sem.Check(p.prog)
-		if err != nil {
-			return err
-		}
-		c, err = coverage.Measure(info, m)
+		var err error
+		c, err = coverage.Measure(p.info, m)
 		return err
 	})
 	if err != nil {
@@ -80,7 +77,8 @@ func RepairAcrossCtx(ctx context.Context, srcs []string, opts RepairOptions) (st
 		if err != nil {
 			return "", nil, fmt.Errorf("tdr: input %d: %w", i, err)
 		}
-		if _, err := sem.Check(prog); err != nil {
+		info, err := sem.Check(prog)
+		if err != nil {
 			return "", nil, fmt.Errorf("tdr: input %d: %w", i, err)
 		}
 		if err := repair.Replay(prog, applied); err != nil {
@@ -89,7 +87,7 @@ func RepairAcrossCtx(ctx context.Context, srcs []string, opts RepairOptions) (st
 		var rep *repair.Report
 		err = guard.Protect("repair", func() error {
 			var rerr error
-			rep, rerr = repair.Repair(prog, ropts)
+			rep, rerr = repair.RepairChecked(info, ropts)
 			return rerr
 		})
 		if err != nil {

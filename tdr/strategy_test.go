@@ -1,6 +1,7 @@
 package tdr_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,6 +46,27 @@ func TestTdrParseStrategy(t *testing.T) {
 		got, ok := tdr.ParseStrategy(c.in)
 		if got != c.want || ok != c.ok {
 			t.Errorf("ParseStrategy(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
+		}
+	}
+}
+
+// TestRepairRejectsUnknownStrategy checks that a Strategy outside
+// finish, isolated and auto fails the repair, naming the value, and
+// leaves the program unchanged.
+func TestRepairRejectsUnknownStrategy(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "examples", "hj", "sumsq.hj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []tdr.Strategy{7, -1} {
+		p := mustLoad(t, string(src))
+		before := p.Source()
+		_, err := p.Repair(tdr.RepairOptions{Strategy: s})
+		if want := fmt.Sprintf("unknown strategy %d", s); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Strategy %d: error %v, want one containing %q", s, err, want)
+		}
+		if p.Source() != before {
+			t.Errorf("Strategy %d changed the program:\n%s", s, p.Source())
 		}
 	}
 }

@@ -43,9 +43,12 @@ import (
 	"finishrepair/taskpar"
 )
 
-// Program is a loaded HJ-lite program.
+// Program is a loaded HJ-lite program. It keeps the checked program
+// from Load for every later stage: StripFinishes and Repair only move
+// statements into or out of finish and isolated bodies, which are
+// scope-transparent, so the check stays valid (see package sem).
 type Program struct {
-	prog   *ast.Program
+	info   *sem.Info
 	tracer *obs.Tracer
 }
 
@@ -69,6 +72,7 @@ func LoadTraced(src string, tr *obs.Tracer) (*Program, error) {
 func loadGuarded(ctx context.Context, src string, b Budget, tr *obs.Tracer) (*Program, error) {
 	m := guard.NewMeter(ctx, b)
 	var prog *ast.Program
+	var info *sem.Info
 	err := guard.Protect("parse", func() error {
 		m.SetPhase("parse")
 		if err := m.Check(); err != nil {
@@ -95,29 +99,30 @@ func loadGuarded(ctx context.Context, src string, b Budget, tr *obs.Tracer) (*Pr
 			return err
 		}
 		sp := tr.Start("sem-check")
-		_, serr := sem.Check(prog)
+		var serr error
+		info, serr = sem.Check(prog)
 		sp.End()
 		return serr
 	})
 	if err != nil {
 		return nil, fmt.Errorf("tdr: %w", err)
 	}
-	return &Program{prog: prog, tracer: tr}, nil
+	return &Program{info: info, tracer: tr}, nil
 }
 
 // Tracer returns the tracer attached at load time (nil when untraced).
 func (p *Program) Tracer() *obs.Tracer { return p.tracer }
 
 // Source renders the (possibly repaired) program as HJ-lite source.
-func (p *Program) Source() string { return printer.Print(p.prog) }
+func (p *Program) Source() string { return printer.Print(p.info.Prog) }
 
 // StripFinishes removes every finish statement (the paper's way of
 // producing buggy inputs for evaluation); it returns how many were
 // removed.
-func (p *Program) StripFinishes() int { return ast.StripFinishes(p.prog) }
+func (p *Program) StripFinishes() int { return ast.StripFinishes(p.info.Prog) }
 
 // CountFinishes returns the number of finish statements.
-func (p *Program) CountFinishes() int { return ast.CountFinishes(p.prog) }
+func (p *Program) CountFinishes() int { return ast.CountFinishes(p.info.Prog) }
 
 // Detector selects the race-detector variant.
 type Detector = race.Variant
@@ -263,15 +268,11 @@ func (p *Program) captureAnalyze(ctx context.Context, b Budget, eng race.Engine)
 	var res *interp.Result
 	var tree *dpst.Tree
 	err := guard.Protect("detect", func() error {
-		info, err := sem.Check(p.prog)
+		r, tr, err := race.Capture(p.info, m)
 		if err != nil {
 			return err
 		}
-		r, tr, err := race.Capture(info, m)
-		if err != nil {
-			return err
-		}
-		rr, err := race.Analyze(tr, info.Prog, nil, eng, m, false)
+		rr, err := race.Analyze(tr, p.info.Prog, nil, eng, m, false)
 		if err != nil {
 			return err
 		}
@@ -512,12 +513,8 @@ func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairRep
 	// statement identity, so the results stay valid across rounds.
 	var res *analysis.Result
 	if opts.Vet {
-		info, err := sem.Check(p.prog)
-		if err != nil {
-			return nil, fmt.Errorf("tdr: vet: %w", err)
-		}
 		vsp := tr.Start("vet")
-		res = analysis.Analyze(info, vsp)
+		res = analysis.Analyze(p.info, vsp)
 		vsp.SetInt("candidates", int64(len(res.Candidates()))).End()
 	}
 	ropts := opts.loop(tr, m)
@@ -535,7 +532,7 @@ func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairRep
 	var origSrc string
 	var targets []adversary.RaceTarget
 	if adv {
-		origSrc = printer.Print(p.prog)
+		origSrc = printer.Print(p.info.Prog)
 		seen := map[adversary.RaceTarget]bool{}
 		prev := ropts.OnRaces
 		ropts.OnRaces = func(races []*race.Race) {
@@ -568,7 +565,7 @@ func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairRep
 	var rep *repair.Report
 	err := guard.Protect("repair", func() error {
 		var rerr error
-		rep, rerr = repair.Repair(p.prog, ropts)
+		rep, rerr = repair.RepairChecked(p.info, ropts)
 		return rerr
 	})
 	var report *RepairReport
@@ -663,12 +660,8 @@ func (p *Program) RunSequentialCtx(ctx context.Context, b Budget) (string, error
 		if err := faults.Inject(faults.SequentialRun); err != nil {
 			return err
 		}
-		info, err := sem.Check(p.prog)
-		if err != nil {
-			return err
-		}
 		sp := p.tracer.Start("sequential-run")
-		res, rerr := interp.Run(info, interp.Options{Mode: interp.Elide, Meter: m})
+		res, rerr := interp.Run(p.info, interp.Options{Mode: interp.Elide, Meter: m})
 		sp.End()
 		if rerr != nil {
 			return rerr
@@ -700,14 +693,10 @@ func (p *Program) RunParallelCtx(ctx context.Context, workers int, b Budget) (st
 	m := guard.NewMeter(ctx, b)
 	var out string
 	err := guard.Protect("parallel-run", func() error {
-		info, err := sem.Check(p.prog)
-		if err != nil {
-			return err
-		}
 		exec := taskpar.NewPoolExecutor(workers)
 		defer exec.Shutdown()
 		sp := p.tracer.Start("parallel-run").SetInt("workers", int64(workers))
-		res, rerr := interp.RunParallel(info, interp.ParallelOptions{Executor: exec, Meter: m})
+		res, rerr := interp.RunParallel(p.info, interp.ParallelOptions{Executor: exec, Meter: m})
 		sp.End()
 		if rerr != nil {
 			return rerr
@@ -741,11 +730,7 @@ func (pl Parallelism) Ratio() float64 {
 // CriticalPath measures work and span of the program's execution on the
 // deterministic cost model.
 func (p *Program) CriticalPath() (Parallelism, error) {
-	info, err := sem.Check(p.prog)
-	if err != nil {
-		return Parallelism{}, fmt.Errorf("tdr: %w", err)
-	}
-	tree, err := race.Tree(info)
+	tree, err := race.Tree(p.info)
 	if err != nil {
 		return Parallelism{}, fmt.Errorf("tdr: %w", err)
 	}

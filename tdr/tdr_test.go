@@ -1,9 +1,12 @@
 package tdr_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"finishrepair/internal/obs"
 	"finishrepair/tdr"
 )
 
@@ -91,6 +94,33 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if pl.Work <= 0 || pl.Span <= 0 || pl.Ratio() < 1 {
 		t.Errorf("bad parallelism metrics %+v", pl)
+	}
+}
+
+// TestRepairChecksOnce checks that a loaded program is checked once:
+// a traced Load, then a repair with the static pass and adversarial
+// verification, records one sem-check span, Load's.
+func TestRepairChecksOnce(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "testdata", "buggy_fib.hj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New()
+	p, err := tdr.LoadTraced(string(src), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Repair(tdr.RepairOptions{Vet: true, AdversarySchedules: 4}); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, r := range tr.Records() {
+		if r.Name == "sem-check" {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("%d sem-check spans, want 1", n)
 	}
 }
 
