@@ -437,8 +437,11 @@ func TestHjrunDetectorEngines(t *testing.T) {
 
 // TestHjrepairDetectorBoth repairs under the differential engine: the
 // engines must agree on every round (exit 0) and the repaired source
-// must match the default engine's result byte for byte, at -j 1 and
-// with the streamed first round and the DP worker pool at -j 2 and 4.
+// must match the default engine's result byte for byte, at -j 1, 2 and
+// 4. testdata/buggy_fib.hj's capture is analyzed after it ends;
+// testdata/quicksort.hj's (about 100,000 events) is long enough that
+// the first round's analysis overlaps it at every -j, which -v shows as
+// streamed=1.
 func TestHjrepairDetectorBoth(t *testing.T) {
 	runs := []struct {
 		name string
@@ -450,21 +453,26 @@ func TestHjrepairDetectorBoth(t *testing.T) {
 		{"both -j 2", []string{"-detector", "both", "-j", "2"}},
 		{"both -j 4", []string{"-detector", "both", "-j", "4"}},
 	}
-	var outs []string
-	for _, r := range runs {
-		args := append([]string{"-quiet"}, r.args...)
-		stdout, stderr, code := runTool(t, "hjrepair", append(args, "../testdata/buggy_fib.hj")...)
-		if code != 0 {
-			t.Fatalf("-detector %s: exit = %d; stderr: %s", r.name, code, stderr)
+	for _, prog := range []string{"buggy_fib.hj", "quicksort.hj"} {
+		var outs []string
+		for _, r := range runs {
+			args := append([]string{"-quiet", "-v"}, r.args...)
+			stdout, stderr, code := runTool(t, "hjrepair", append(args, "../testdata/"+prog)...)
+			if code != 0 {
+				t.Fatalf("%s -detector %s: exit = %d; stderr: %s", prog, r.name, code, stderr)
+			}
+			if !strings.Contains(stdout, "finish") {
+				t.Errorf("%s -detector %s: no finish in repaired source", prog, r.name)
+			}
+			if want := prog == "quicksort.hj"; strings.Contains(stderr, "streamed=1") != want {
+				t.Errorf("%s -detector %s: first round overlapped = %v, want %v", prog, r.name, !want, want)
+			}
+			outs = append(outs, stdout)
 		}
-		if !strings.Contains(stdout, "finish") {
-			t.Errorf("-detector %s: no finish in repaired source", r.name)
-		}
-		outs = append(outs, stdout)
-	}
-	for i, o := range outs[1:] {
-		if o != outs[0] {
-			t.Errorf("-detector %s repaired source differs from mrw", runs[i+1].name)
+		for i, o := range outs[1:] {
+			if o != outs[0] {
+				t.Errorf("%s -detector %s repaired source differs from mrw", prog, runs[i+1].name)
+			}
 		}
 	}
 }

@@ -47,7 +47,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit table 2 as JSON with stage-level breakdowns")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON of the harness phases to this file")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per benchmark repair (0 = none)")
-	workers := flag.Int("j", 1, "analysis parallelism for harness repairs: streamed first-round capture and per-NS-LCA DP workers (results are identical for any value)")
+	workers := flag.Int("j", 1, "per-NS-LCA DP workers; the first round overlaps by trace length at every -j (harness repairs; results are identical for any value)")
 	metrics := flag.Bool("metrics", false, "print the metrics snapshot to stderr after the run")
 	debugAddr := flag.String("debug-addr", "", "serve expvar + pprof + Prometheus debug endpoints on this address (e.g. localhost:6060)")
 	sampleFile := flag.String("sample", "", "append periodic metrics-registry snapshots to this JSONL file")

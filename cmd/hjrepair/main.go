@@ -112,7 +112,7 @@ const (
 func main() {
 	detector := flag.String("detector", "mrw", "race detector: mrw|srw (ESP-Bags variant) or espbags|vc|both (trace-analysis engine)")
 	strategy := flag.String("strategy", "auto", "repair strategy per race group: finish|isolated|auto; \"iso\" is accepted as an alias of isolated (auto picks the shorter post-repair critical path)")
-	workers := flag.Int("j", 1, "analysis parallelism: streamed first round and per-NS-LCA DP workers (output is identical for any value)")
+	workers := flag.Int("j", 1, "per-NS-LCA DP workers; the first round overlaps by trace length at every -j (output is identical for any value)")
 	out := flag.String("o", "", "write repaired program to this file (default stdout)")
 	quiet := flag.Bool("quiet", false, "suppress the repair summary on stderr")
 	maxIter := flag.Int("max-iter", 0, "bound on detect/repair rounds (0 = default 10)")

@@ -130,18 +130,23 @@ type Tree struct {
 	nextID int
 	count  int
 	// chunk is the tail of the node arena: nodes are handed out from
-	// fixed-capacity chunks so construction costs one allocation per
-	// nodeChunk nodes instead of one per node. Full chunks are abandoned
-	// to their nodes (never re-appended), so node pointers stay stable.
+	// chunks that start at firstNodeChunk nodes and double up to
+	// nodeChunk, so a small tree stays small and a large one costs one
+	// allocation per nodeChunk nodes instead of one per node. Full
+	// chunks are abandoned to their nodes (never re-appended), so node
+	// pointers stay stable.
 	chunk []Node
 }
 
-// nodeChunk is the arena chunk size.
-const nodeChunk = 512
+// Arena chunk sizes, in nodes.
+const (
+	firstNodeChunk = 16
+	nodeChunk      = 512
+)
 
 func (t *Tree) alloc() *Node {
 	if len(t.chunk) == cap(t.chunk) {
-		t.chunk = make([]Node, 0, nodeChunk)
+		t.chunk = make([]Node, 0, min(max(2*cap(t.chunk), firstNodeChunk), nodeChunk))
 	}
 	t.chunk = append(t.chunk, Node{})
 	return &t.chunk[len(t.chunk)-1]

@@ -371,10 +371,13 @@ func (m *Meter) DPStates() int64 {
 }
 
 // NodeBudgetError builds the S-DPST node-budget error; trace replay
-// calls it when the nodes it has built pass MaxSDPSTNodes.
+// calls it when the nodes it has built pass MaxSDPSTNodes. Replay builds
+// the S-DPST only to detect races, so the trip names phase detect
+// rather than the meter's phase: a replay that overlaps the capture
+// runs on another goroutine while the capture holds trace-capture.
 func (m *Meter) NodeBudgetError(used int64) error {
 	mBudgetTrips.Inc()
-	return &BudgetExceededError{Resource: ResourceSDPSTNodes, Phase: m.CurrentPhase(), Limit: m.MaxSDPSTNodes(), Used: used}
+	return &BudgetExceededError{Resource: ResourceSDPSTNodes, Phase: "detect", Limit: m.MaxSDPSTNodes(), Used: used}
 }
 
 // Protect runs fn, converting any escaping panic into a typed error:

@@ -224,7 +224,9 @@ func (t *Tracer) OpenSpans() int {
 
 // ValidateNesting checks that a span set is well-formed: every span with
 // a parent lies within the parent's interval, and spans sharing a parent
-// do not overlap (the pipeline is sequential per nesting level).
+// do not overlap (the pipeline is sequential per nesting level), except
+// that a span carrying streamed=1 — an analysis that ran beside the
+// capture feeding it — may overlap its siblings.
 func ValidateNesting(recs []SpanRecord) error {
 	byID := make(map[int64]SpanRecord, len(recs))
 	for _, r := range recs {
@@ -242,7 +244,9 @@ func ValidateNesting(recs []SpanRecord) error {
 					r.ID, r.Name, r.Start, r.Start+r.Dur, p.ID, p.Name, p.Start, p.Start+p.Dur)
 			}
 		}
-		siblings[r.Parent] = append(siblings[r.Parent], r)
+		if !streamed(r) {
+			siblings[r.Parent] = append(siblings[r.Parent], r)
+		}
 	}
 	for parent, group := range siblings {
 		sort.Slice(group, func(i, j int) bool { return group[i].Start < group[j].Start })
@@ -255,4 +259,14 @@ func ValidateNesting(recs []SpanRecord) error {
 		}
 	}
 	return nil
+}
+
+// streamed reports whether r carries the integer attribute streamed=1.
+func streamed(r SpanRecord) bool {
+	for _, a := range r.Attrs {
+		if a.Key == "streamed" && !a.IsStr && a.Int == 1 {
+			return true
+		}
+	}
+	return false
 }

@@ -72,6 +72,33 @@ func TestValidateNestingRejectsMalformed(t *testing.T) {
 	if err := ValidateNesting(orphan); err == nil {
 		t.Error("orphan parent accepted")
 	}
+	streamedEscape := []SpanRecord{
+		{ID: 1, Name: "p", Start: 0, Dur: 5 * time.Millisecond},
+		{ID: 2, Parent: 1, Name: "c", Start: 1 * time.Millisecond, Dur: 10 * time.Millisecond,
+			Attrs: []Attr{{Key: "streamed", Int: 1}}},
+	}
+	if err := ValidateNesting(streamedEscape); err == nil {
+		t.Error("streamed child escaping parent accepted")
+	}
+}
+
+// TestValidateNestingAcceptsStreamedOverlap checks the one sibling
+// overlap that is well-formed: an analysis span marked streamed=1 that
+// ran beside the capture under the same parent.
+func TestValidateNestingAcceptsStreamedOverlap(t *testing.T) {
+	recs := []SpanRecord{
+		{ID: 1, Name: "detect", Start: 0, Dur: 20 * time.Millisecond},
+		{ID: 2, Parent: 1, Name: "trace-capture", Start: 0, Dur: 10 * time.Millisecond},
+		{ID: 3, Parent: 1, Name: "detect/espbags", Start: 2 * time.Millisecond, Dur: 18 * time.Millisecond,
+			Attrs: []Attr{{Key: "streamed", Int: 1}}},
+	}
+	if err := ValidateNesting(recs); err != nil {
+		t.Errorf("streamed overlap rejected: %v", err)
+	}
+	recs[2].Attrs = nil
+	if err := ValidateNesting(recs); err == nil {
+		t.Error("unmarked overlap accepted")
+	}
 }
 
 // roundTripTracer builds a small fixed trace plus metrics for the

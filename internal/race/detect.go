@@ -1,6 +1,7 @@
 package race
 
 import (
+	"errors"
 	"time"
 
 	"finishrepair/internal/dpst"
@@ -58,17 +59,23 @@ func New(v Variant, o Oracle) Detector {
 // engines, with different collapse policies, or with virtual finish
 // scopes injected — without re-executing the program.
 func Capture(info *sem.Info, m *guard.Meter) (*interp.Result, *trace.Trace, error) {
-	m.SetPhase("trace-capture")
-	if err := faults.Inject(faults.Detect); err != nil {
-		return nil, nil, err
-	}
 	rec := trace.NewRecorder()
-	res, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Trace: rec, Meter: m})
+	res, err := capture(info, m, rec)
 	if err != nil {
 		return res, nil, err
 	}
 	mTraceCaptures.Inc()
 	return res, rec.Trace(), nil
+}
+
+// capture runs the canonical sequential execution into rec, in phase
+// trace-capture.
+func capture(info *sem.Info, m *guard.Meter, rec *trace.Recorder) (*interp.Result, error) {
+	m.SetPhase("trace-capture")
+	if err := faults.Inject(faults.Detect); err != nil {
+		return nil, err
+	}
+	return interp.Run(info, interp.Options{Mode: interp.DepthFirst, Trace: rec, Meter: m})
 }
 
 // Tree runs the canonical sequential depth-first execution of the
@@ -127,67 +134,110 @@ func observeAnalysis(det Detector, rr *trace.Result, elapsed time.Duration) {
 	}
 }
 
-// CaptureAnalyzeStreamed overlaps capture and analysis: the instrumented
-// execution records into a stream whose sealed chunks one streaming
-// replay feeds to det as they are published, instead of
-// capture-once-then-analyze. The returned trace is the complete capture,
-// replayable by later iterations exactly like Capture's. A capture error
-// wins over the analysis error it induces downstream. The workers
-// argument is unused; it stays only for existing callers and goes with
-// them.
-func CaptureAnalyzeStreamed(info *sem.Info, fins []trace.FinishRange, det Detector, m *guard.Meter, noCollapse bool, workers int) (*interp.Result, *trace.Trace, *trace.Result, error) {
-	s := trace.NewStream()
-	rec := trace.NewRecorder()
-	rec.StreamTo(s)
+// errCaptureAbandoned fails the stream of a capture that unwinds by a
+// panic, so the analysis goroutine stops before the panic leaves
+// CaptureAnalyze; the panic, not this error, reaches the caller.
+var errCaptureAbandoned = errors.New("race: capture abandoned")
 
-	var (
-		res *interp.Result
-		tr  *trace.Trace
-	)
-	capDone := make(chan error, 1)
-	go func() {
-		// Protect inside the goroutine: a contained panic must surface as
-		// the capture error, not crash the process. Fail on every error
-		// path — a stream that never finishes blocks the consumer forever.
-		cerr := guard.Protect("trace-capture", func() error {
-			m.SetPhase("trace-capture")
-			if err := faults.Inject(faults.Detect); err != nil {
-				return err
-			}
-			r, err := interp.Run(info, interp.Options{Mode: interp.DepthFirst, Trace: rec, Meter: m})
-			res = r
-			return err
-		})
-		if cerr != nil {
-			s.Fail(cerr)
-		} else {
-			tr = rec.Trace()
-			mTraceCaptures.Inc()
-		}
-		capDone <- cerr
-	}()
-
-	m.SetPhase("detect")
-	t0 := time.Now()
-	rr, aerr := trace.ReplayStream(s, trace.ReplayOptions{
+// CaptureAnalyze captures the canonical sequential execution of the
+// checked program, as Capture does, and analyzes it with det, as
+// Analyze does with fins injected. The capture runs on the calling
+// goroutine into a streaming recorder. Once it seals its first
+// full-size chunk, the replay into det starts on a second goroutine and
+// consumes sealed chunks while the capture goes on; a capture that
+// never fills a chunk is analyzed after it ends. Either way det sees
+// the same events in the same order, so the races, the tree and the
+// counts are those of Capture then Analyze.
+//
+// Under sp, when non-nil, it records a trace-capture span with the
+// event count and the analysis span detect/<engine>; the analysis span
+// carries streamed=1 when it overlapped the capture, and then the two
+// spans overlap in time. The analysis goroutine never sets the meter's
+// phase, which stays with the capture until it ends. A capture error
+// wins over the analysis error it induces. On every exit, a panic
+// included, the analysis goroutine has stopped before CaptureAnalyze
+// returns. The returned trace is the complete capture, for later
+// rounds to replay.
+func CaptureAnalyze(info *sem.Info, fins []trace.FinishRange, det Detector, m *guard.Meter, noCollapse bool, sp *obs.Span) (*interp.Result, *trace.Trace, *trace.Result, error) {
+	name := analysisSpan(det)
+	opts := trace.ReplayOptions{
 		Prog:       info.Prog,
 		Finishes:   fins,
 		Sink:       det,
 		NoCollapse: noCollapse,
 		Meter:      m,
+	}
+	s := trace.NewStream()
+	rec := trace.NewRecorder()
+	var (
+		rr   *trace.Result
+		aerr error
+		done chan struct{} // closed when the analysis goroutine returns
+	)
+	rec.StreamTo(s, func() {
+		engSpan := sp.Child(name).SetInt("streamed", 1)
+		done = make(chan struct{})
+		go func() {
+			defer close(done)
+			t0 := time.Now()
+			aerr = guard.Protect("detect", func() error {
+				var err error
+				rr, err = trace.ReplayStream(s, opts)
+				return err
+			})
+			if aerr == nil {
+				observeAnalysis(det, rr, time.Since(t0))
+			}
+			engSpan.End()
+		}()
 	})
-	if aerr == nil {
-		observeAnalysis(det, rr, time.Since(t0))
+	capSpan := sp.Child("trace-capture")
+	defer func() {
+		capSpan.End() // a no-op unless a panic skipped the End below
+		if done != nil {
+			s.Fail(errCaptureAbandoned) // a no-op once the stream ended
+			<-done
+		}
+	}()
+
+	res, err := capture(info, m, rec)
+	if err != nil {
+		capSpan.End()
+		s.Fail(err)
+		return res, nil, nil, err
 	}
-	cerr := <-capDone
+	tr := rec.Trace()
+	capSpan.SetInt("events", int64(tr.Len())).End()
+	mTraceCaptures.Inc()
+
+	if done == nil {
+		engSpan := sp.Child(name)
+		rr, err := Analyze(tr, info.Prog, fins, det, m, noCollapse)
+		engSpan.End()
+		return res, tr, rr, err
+	}
+	m.SetPhase("detect")
+	<-done
 	mStreamChunks.Add(int64(s.Chunks()))
-	if cerr != nil {
-		return res, nil, nil, cerr
-	}
 	if aerr != nil {
 		return res, tr, nil, aerr
 	}
 	return res, tr, rr, nil
+}
+
+// analysisSpan names det's analysis span: detect/ and the engine's name.
+func analysisSpan(det Detector) string {
+	if e, ok := det.(Engine); ok {
+		return "detect/" + e.Name()
+	}
+	return "detect/analyze"
+}
+
+// CaptureAnalyzeStreamed is CaptureAnalyze without spans. The workers
+// argument is unused; the function stays only for existing callers and
+// goes with them.
+func CaptureAnalyzeStreamed(info *sem.Info, fins []trace.FinishRange, det Detector, m *guard.Meter, noCollapse bool, workers int) (*interp.Result, *trace.Trace, *trace.Result, error) {
+	return CaptureAnalyze(info, fins, det, m, noCollapse, nil)
 }
 
 // Detect captures the canonical sequential execution of the checked
@@ -195,12 +245,13 @@ func CaptureAnalyzeStreamed(info *sem.Info, fins []trace.FinishRange, det Detect
 // once, with no budget. It returns the replayed S-DPST, the tree the
 // detector's races reference.
 func Detect(info *sem.Info, v Variant, o Oracle) (*interp.Result, *dpst.Tree, Detector, error) {
-	res, tr, err := Capture(info, nil)
-	if err != nil {
+	det := New(v, o)
+	res, tr, rr, err := CaptureAnalyze(info, nil, det, nil, false, nil)
+	if tr == nil {
+		// The capture failed: no detector ran.
+		det.Release()
 		return res, nil, nil, err
 	}
-	det := New(v, o)
-	rr, err := Analyze(tr, info.Prog, nil, det, nil, false)
 	if err != nil {
 		return res, nil, det, err
 	}

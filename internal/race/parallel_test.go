@@ -10,6 +10,7 @@ import (
 	"finishrepair/internal/lang/ast"
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
+	"finishrepair/internal/obs"
 	"finishrepair/internal/race"
 )
 
@@ -116,8 +117,9 @@ func TestAnalyzeParallelFallsThrough(t *testing.T) {
 	}
 }
 
-// TestCaptureAnalyzeStreamedMatchesBatch overlaps capture with the
-// streaming analysis and requires the same races and the same
+// TestCaptureAnalyzeStreamedMatchesBatch runs CaptureAnalyze, whose
+// analysis overlaps the capture on every stripped Table-1 program, and
+// requires the races in the same order, the same tree and the same
 // complete trace as batch capture-then-analyze.
 func TestCaptureAnalyzeStreamedMatchesBatch(t *testing.T) {
 	for _, b := range bench.All() {
@@ -143,17 +145,25 @@ func TestCaptureAnalyzeStreamedMatchesBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			batch := race.NewFused(race.VariantMRW)
-			if _, err := race.Analyze(tr, batchInfo.Prog, nil, batch, nil, false); err != nil {
+			brr, err := race.Analyze(tr, batchInfo.Prog, nil, batch, nil, false)
+			if err != nil {
 				t.Fatal(err)
 			}
 			want := seqFingerprint(batch)
+			wantCells := batch.ShadowCells()
 			batch.Release()
 
 			streamInfo := mkInfo()
 			eng := race.NewFused(race.VariantMRW)
-			_, str, _, err := race.CaptureAnalyzeStreamed(streamInfo, nil, eng, nil, false, 2)
+			tracer := obs.New()
+			sp := tracer.Start("detect")
+			_, str, srr, err := race.CaptureAnalyze(streamInfo, nil, eng, nil, false, sp)
+			sp.End()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !streamedSpan(tracer) {
+				t.Fatalf("%d events did not overlap capture and analysis", str.Len())
 			}
 			if err := eng.Check(); err != nil {
 				t.Fatalf("streamed cross-check: %v", err)
@@ -164,7 +174,26 @@ func TestCaptureAnalyzeStreamedMatchesBatch(t *testing.T) {
 			if got := seqFingerprint(eng); !reflect.DeepEqual(want, got) {
 				t.Fatalf("streamed race stream differs:\nbatch    %v\nstreamed %v", want, got)
 			}
+			if brr.Steps != srr.Steps || brr.Tree.NumNodes() != srr.Tree.NumNodes() ||
+				brr.Tree.Root.Work != srr.Tree.Root.Work || wantCells != eng.ShadowCells() {
+				t.Fatalf("streamed tree or counts differ: steps %d/%d, nodes %d/%d, work %d/%d, cells %d/%d",
+					srr.Steps, brr.Steps, srr.Tree.NumNodes(), brr.Tree.NumNodes(),
+					srr.Tree.Root.Work, brr.Tree.Root.Work, eng.ShadowCells(), wantCells)
+			}
 			eng.Release()
 		})
 	}
+}
+
+// streamedSpan reports whether tracer recorded an analysis span that
+// overlapped its capture (attribute streamed=1).
+func streamedSpan(tracer *obs.Tracer) bool {
+	for _, r := range tracer.Records() {
+		for _, a := range r.Attrs {
+			if a.Key == "streamed" && a.Int == 1 {
+				return true
+			}
+		}
+	}
+	return false
 }

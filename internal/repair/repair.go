@@ -38,9 +38,11 @@ type Options struct {
 	Variant race.Variant
 	// MaxIterations bounds repair/re-detect rounds (default 10).
 	MaxIterations int
-	// UseTraceFiles round-trips detected races through the binary trace
-	// encoding, mirroring the paper's detector/analyzer file boundary
-	// (default true).
+	// UseTraceFiles round-trips every round's races through the binary
+	// race-trace encoding, mirroring the paper's detector/analyzer file
+	// boundary, and records a trace-io span per round. It does not change
+	// the races or the repair. Off by default; hjbench -table 2 turns it
+	// on, because the paper's timings include reading trace files.
 	UseTraceFiles bool
 	// Tracer records per-phase spans of every iteration (detect/verify,
 	// trace-io, group-nslca, dp-place, rewrite), plus Repair's sem-check.
@@ -60,13 +62,14 @@ type Options struct {
 	// answer, failing the repair with a *race.DisagreementError on the
 	// first query they disagree on.
 	Engine race.EngineKind
-	// Workers bounds the analysis parallelism: above 1, the first
-	// detection round streams (capture and analysis overlap), and the
-	// independent per-NS-LCA placement problems are solved on a worker
-	// pool of this size. Every detection round is one serial shadow scan.
-	// Results are accumulated in deterministic NS-LCA order, so the
-	// repaired program is byte-identical for any worker count. 0 or 1 is
-	// fully sequential.
+	// Workers sizes the worker pool that solves the independent
+	// per-NS-LCA placement problems; 0 or 1 solves them in turn. It does
+	// not change how detection runs: every round is one serial shadow
+	// scan, and the first round overlaps its analysis with the capture
+	// whenever the trace fills a full-size chunk (race.CaptureAnalyze),
+	// at any worker count. Results are accumulated in deterministic
+	// NS-LCA order, so the repaired program is byte-identical for any
+	// worker count.
 	Workers int
 	// OnRaces, when set, observes every detection round's race list
 	// before any grouping or rewriting. The static-analysis integration
@@ -280,56 +283,29 @@ func RepairChecked(info *sem.Info, opts Options) (*Report, error) {
 			SetStr("variant", opts.Variant.String()).
 			SetStr("engine", opts.Engine.String())
 		t0 := time.Now()
-		// With analysis parallelism requested, the first round streams:
-		// capture and analysis overlap, consuming trace chunks as the
-		// recorder seals them. Later rounds replay the completed capture.
-		streamed := iter == 0 && opts.Workers > 1
-		if iter == 0 && !streamed {
-			capSpan := detSpan.Child("trace-capture")
-			err := guard.Protect("detect", func() error {
-				var cerr error
-				captured, tr, cerr = race.Capture(info, opts.Meter)
-				return cerr
-			})
-			if tr != nil {
-				capSpan.SetInt("events", int64(tr.Len()))
-			}
-			capSpan.End()
-			if err != nil {
-				detSpan.End()
-				return iterErr(fmt.Errorf("repair: execution failed: %w", err))
-			}
-		}
-
 		eng := race.NewEngine(opts.Engine, opts.Variant)
-		analyzeParent := detSpan
-		var replaySpan *obs.Span
-		if iter > 0 {
+		var rr *trace.Result
+		var err error
+		if iter == 0 {
+			// The one execution: capture, with the analysis overlapping it
+			// once the trace is long enough (race.CaptureAnalyze).
+			err = guard.Protect("detect", func() error {
+				var aerr error
+				captured, tr, rr, aerr = race.CaptureAnalyze(info, virtual, eng, opts.Meter, false, detSpan)
+				return aerr
+			})
+		} else {
 			// Later rounds never re-execute: the captured trace is
 			// replayed with the updated scope set.
-			replaySpan = detSpan.Child("trace-replay")
+			replaySpan := detSpan.Child("trace-replay")
 			mTraceReplays.Inc()
-			analyzeParent = replaySpan
-		}
-		engSpan := analyzeParent.Child("detect/" + eng.Name())
-		if streamed {
-			engSpan.SetInt("streamed", 1)
-		}
-		var rr *trace.Result
-		err := guard.Protect("detect", func() error {
-			var aerr error
-			if streamed {
-				captured, tr, rr, aerr = race.CaptureAnalyzeStreamed(info, virtual, eng, opts.Meter, false, opts.Workers)
-			} else {
+			engSpan := replaySpan.Child("detect/" + eng.Name())
+			err = guard.Protect("detect", func() error {
+				var aerr error
 				rr, aerr = race.Analyze(tr, info.Prog, virtual, eng, opts.Meter, false)
-			}
-			return aerr
-		})
-		if streamed && tr != nil {
-			engSpan.SetInt("events", int64(tr.Len()))
-		}
-		engSpan.End()
-		if replaySpan != nil {
+				return aerr
+			})
+			engSpan.End()
 			replaySpan.End()
 		}
 		if err != nil {

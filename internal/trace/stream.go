@@ -53,9 +53,11 @@ func (s *Stream) finish(tail int64) {
 // Fail ends the stream with a capture error: consumers waiting on the
 // next chunk unblock and surface it. The producer must call Fail on any
 // path where Recorder.Trace will never run, or consumers block forever.
+// Fail after Recorder.Trace has finished the stream does nothing: every
+// chunk is there to read.
 func (s *Stream) Fail(err error) {
 	s.mu.Lock()
-	if s.err == nil {
+	if s.err == nil && !s.done {
 		s.err = err
 	}
 	s.done = true

@@ -56,9 +56,14 @@ type Event struct {
 	Label uint16 // EvPush: label table index
 }
 
-// chunkLen is the arena chunk size: large enough to amortize append
-// overhead, small enough that short traces stay cheap.
-const chunkLen = 4096
+// Arena chunk sizes: a capture's first chunk holds firstChunkLen
+// events and each later one twice its predecessor, up to chunkLen, so a
+// short trace stays small and a long one amortizes append overhead
+// over full-size chunks (the race report log grows the same way).
+const (
+	firstChunkLen = 64
+	chunkLen      = 4096
+)
 
 // Trace is a captured event stream plus its label table.
 type Trace struct {
@@ -99,13 +104,14 @@ func (t *Trace) Events(fn func(i int, e *Event) bool) {
 func (t *Trace) Bytes() int64 { return int64(t.n) * 32 }
 
 // Recorder accumulates events during an instrumented execution. It is
-// arena-backed: events append into fixed-size chunks so capture never
-// reallocates the stream.
+// arena-backed: events append into chunks that are never reallocated,
+// so a sealed chunk stays where it is.
 type Recorder struct {
 	t       Trace
 	pending uint32 // work units since the last event
 	labels  map[string]uint16
 	stream  *Stream // when set, sealed chunks publish as capture runs
+	full    func()  // runs once, when the first full-size chunk seals
 }
 
 // NewRecorder returns an empty recorder.
@@ -115,10 +121,14 @@ func NewRecorder() *Recorder {
 
 // StreamTo mirrors the capture onto s: every chunk publishes the moment
 // it seals (while execution continues), and Trace publishes the partial
-// tail and finishes the stream. Set it before recording starts. The
-// recorder still accumulates the full trace, so streamed captures also
-// yield a replayable Trace for later iterations.
-func (r *Recorder) StreamTo(s *Stream) { r.stream = s }
+// tail and finishes the stream. full, when non-nil, runs once on the
+// recording goroutine right after the first full-size chunk publishes:
+// from there on a consumer has a whole chunk to replay while the
+// capture goes on, and a capture that ends sooner never calls it. Set
+// the stream before recording starts. The recorder still accumulates
+// the full trace, so streamed captures also yield a replayable Trace
+// for later iterations.
+func (r *Recorder) StreamTo(s *Stream, full func()) { r.stream, r.full = s, full }
 
 // Trace finalizes and returns the captured trace. The recorder must not
 // be used afterwards.
@@ -126,11 +136,12 @@ func (r *Recorder) Trace() *Trace {
 	r.t.TailWork += int64(r.pending)
 	r.pending = 0
 	if r.stream != nil {
-		if k := len(r.t.chunks); k > 0 && len(r.t.chunks[k-1]) < chunkLen {
+		// A full last chunk published when it sealed.
+		if k := len(r.t.chunks); k > 0 && len(r.t.chunks[k-1]) < cap(r.t.chunks[k-1]) {
 			r.stream.publish(r.t.chunks[k-1], r.t.labels)
 		}
 		r.stream.finish(r.t.TailWork)
-		r.stream = nil
+		r.stream, r.full = nil, nil
 	}
 	return &r.t
 }
@@ -143,16 +154,26 @@ func (r *Recorder) append(e Event) {
 	e.W = r.pending
 	r.pending = 0
 	k := len(r.t.chunks)
-	if k == 0 || len(r.t.chunks[k-1]) == chunkLen {
-		r.t.chunks = append(r.t.chunks, make([]Event, 0, chunkLen))
+	if k == 0 || len(r.t.chunks[k-1]) == cap(r.t.chunks[k-1]) {
+		n := firstChunkLen
+		if k > 0 {
+			n = min(2*cap(r.t.chunks[k-1]), chunkLen)
+		}
+		r.t.chunks = append(r.t.chunks, make([]Event, 0, n))
 		k++
 	}
-	r.t.chunks[k-1] = append(r.t.chunks[k-1], e)
+	c := append(r.t.chunks[k-1], e)
+	r.t.chunks[k-1] = c
 	r.t.n++
-	if r.stream != nil && len(r.t.chunks[k-1]) == chunkLen {
+	if r.stream != nil && len(c) == cap(c) {
 		// Sealed: the next append starts a fresh chunk, so this one is
 		// immutable from here on and safe to hand to the consumer.
-		r.stream.publish(r.t.chunks[k-1], r.t.labels)
+		r.stream.publish(c, r.t.labels)
+		if r.full != nil && len(c) == chunkLen {
+			f := r.full
+			r.full = nil
+			f()
+		}
 	}
 }
 

@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"finishrepair/internal/faults"
+	"finishrepair/internal/lang/parser"
+	"finishrepair/internal/obs"
+	"finishrepair/internal/repair"
 	"finishrepair/tdr"
 )
 
@@ -188,25 +191,85 @@ func TestDetectCtxSDPSTNodeBudget(t *testing.T) {
 	}
 }
 
+// longFinite spawns 2,000 tasks: its capture records about 20,000
+// events, so the first detection round's analysis overlaps the capture.
+const longFinite = `
+var g = 0;
+
+func main() {
+    var a = make([]int, 4);
+    for (var i = 0; i < 2000; i = i + 1) {
+        async { a[0] = i; }
+        g = g + 1;
+    }
+    println(g);
+}
+`
+
 // The S-DPST node budget trips while replay builds the tree, so its
-// phase is detect; on the streamed repair path (-j 2) the replay's
-// error is returned once capture has finished.
+// phase is detect, also when the replay overlaps the capture: on
+// longFinite the first round's analysis starts during the capture and
+// trips at once, at any worker count.
 func TestSDPSTNodeBudgetTripsInReplay(t *testing.T) {
-	p, err := tdr.Load(shortRacy)
+	for _, src := range []string{shortRacy, longFinite} {
+		p, err := tdr.Load(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := tdr.Budget{MaxSDPSTNodes: 2}
+		_, err = p.DetectCtx(context.Background(), tdr.MRW, budget)
+		var be *tdr.BudgetExceededError
+		if !errors.As(err, &be) || be.Resource != tdr.ResourceSDPSTNodes || be.Phase != "detect" {
+			t.Fatalf("detect: expected an S-DPST node budget trip in phase detect, got %v", err)
+		}
+		for _, e := range []tdr.Engine{tdr.ESPBags, tdr.Both} {
+			tr := obs.New()
+			_, err = p.RepairCtx(context.Background(), tdr.RepairOptions{Engine: e, Workers: 1, Budget: budget, Tracer: tr})
+			if !errors.As(err, &be) || be.Resource != tdr.ResourceSDPSTNodes || be.Phase != "detect" {
+				t.Fatalf("repair (engine %v): expected an S-DPST node budget trip in phase detect, got %v", e, err)
+			}
+			if want := src == longFinite; overlapped(tr) != want {
+				t.Fatalf("repair (engine %v): first round overlapped = %v, want %v", e, !want, want)
+			}
+		}
+	}
+}
+
+// overlapped reports whether tr recorded an analysis span that ran
+// beside its capture (streamed=1).
+func overlapped(tr *obs.Tracer) bool {
+	for _, r := range tr.Records() {
+		for _, a := range r.Attrs {
+			if a.Key == "streamed" && a.Int == 1 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestOpBudgetTripsInOverlappedCapture runs out of interpreter ops
+// after the first round's analysis has started beside the capture: the
+// trip belongs to the capture, so its phase is trace-capture.
+func TestOpBudgetTripsInOverlappedCapture(t *testing.T) {
+	p, err := tdr.Load(longRacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := tdr.Budget{MaxSDPSTNodes: 2}
+	// A few hundred thousand ops record several full-size chunks first.
+	budget := tdr.Budget{OpLimit: 500_000}
 	_, err = p.DetectCtx(context.Background(), tdr.MRW, budget)
 	var be *tdr.BudgetExceededError
-	if !errors.As(err, &be) || be.Resource != tdr.ResourceSDPSTNodes || be.Phase != "detect" {
-		t.Fatalf("detect: expected an S-DPST node budget trip in phase detect, got %v", err)
+	if !errors.As(err, &be) || be.Resource != tdr.ResourceOps || be.Phase != "trace-capture" {
+		t.Fatalf("detect: expected an op-budget trip in phase trace-capture, got %v", err)
 	}
-	for _, e := range []tdr.Engine{tdr.ESPBags, tdr.Both} {
-		_, err = p.RepairCtx(context.Background(), tdr.RepairOptions{Engine: e, Workers: 2, Budget: budget})
-		if !errors.As(err, &be) || be.Resource != tdr.ResourceSDPSTNodes {
-			t.Fatalf("streamed repair (engine %v): expected an S-DPST node budget trip, got %v", e, err)
-		}
+	tr := obs.New()
+	_, err = p.RepairCtx(context.Background(), tdr.RepairOptions{Workers: 1, Budget: budget, Tracer: tr})
+	if !errors.As(err, &be) || be.Resource != tdr.ResourceOps || be.Phase != "trace-capture" {
+		t.Fatalf("repair: expected an op-budget trip in phase trace-capture, got %v", err)
+	}
+	if !overlapped(tr) {
+		t.Fatal("the trip landed before the analysis started")
 	}
 }
 
@@ -282,6 +345,10 @@ func TestInjectionPointsSurfaceTypedErrors(t *testing.T) {
 			_, err = p.RunSequential()
 		case faults.ParallelRun:
 			_, err = p.RunParallelCtx(context.Background(), 2, tdr.Budget{})
+		case faults.TraceIO:
+			// tdr writes no race trace files; the repair loop does where
+			// they are on, as in hjbench -table 2.
+			_, err = repair.Repair(parser.MustParse(shortRacy), repair.Options{UseTraceFiles: true})
 		default:
 			_, err = p.Repair(tdr.RepairOptions{})
 		}

@@ -260,19 +260,17 @@ func (p *Program) DetectEngineCtx(ctx context.Context, d Detector, e Engine, b B
 
 // captureAnalyze is the detection step of DetectEngineCtx and
 // SDPSTDotCtx: it captures the program's canonical execution under b,
-// analyzes the trace with eng and fails with a *DisagreementError if
-// the fused engine's oracles diverged. It returns the run and its
-// replayed S-DPST, the tree eng's races reference.
+// analyzes the trace with eng (overlapping the capture once the trace
+// fills a full-size chunk, see race.CaptureAnalyze) and fails with a
+// *DisagreementError if the fused engine's oracles diverged. It
+// returns the run and its replayed S-DPST, the tree eng's races
+// reference.
 func (p *Program) captureAnalyze(ctx context.Context, b Budget, eng race.Engine) (*interp.Result, *dpst.Tree, error) {
 	m := guard.NewMeter(ctx, b)
 	var res *interp.Result
 	var tree *dpst.Tree
 	err := guard.Protect("detect", func() error {
-		r, tr, err := race.Capture(p.info, m)
-		if err != nil {
-			return err
-		}
-		rr, err := race.Analyze(tr, p.info.Prog, nil, eng, m, false)
+		r, _, rr, err := race.CaptureAnalyze(p.info, nil, eng, m, false, nil)
 		if err != nil {
 			return err
 		}
@@ -326,12 +324,12 @@ type RepairOptions struct {
 	// Tracer records per-phase spans; when nil, the tracer attached by
 	// LoadTraced (if any) is used.
 	Tracer *obs.Tracer
-	// Workers bounds the analysis parallelism: above 1, the first
-	// detection round streams (capture and analysis overlap), and the
-	// independent per-NS-LCA placement problems are solved on a worker
-	// pool of this size. Every detection round is one serial shadow scan.
-	// The repaired program is byte-identical for any worker count. 0 or 1
-	// is fully sequential.
+	// Workers sizes the pool that solves the independent per-NS-LCA
+	// placement problems; 0 or 1 solves them in turn. Detection is the
+	// same at any worker count: one serial shadow scan per round, and a
+	// first round whose analysis overlaps the capture once the trace
+	// fills a full-size chunk. The repaired program is byte-identical for
+	// any worker count.
 	Workers int
 	// Vet runs the static analyzer over the program before the repair
 	// and cross-references the static race-candidate set against the
@@ -488,7 +486,6 @@ func (opts RepairOptions) loop(tr *obs.Tracer, m *guard.Meter) repair.Options {
 		Variant:       opts.Detector,
 		Engine:        opts.Engine,
 		MaxIterations: maxIter,
-		UseTraceFiles: true,
 		Tracer:        tr,
 		Meter:         m,
 		Workers:       opts.Workers,
