@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-detect bench-diff bench-pipeline eval fuzz report adversary commute-agreement ci clean
+.PHONY: all build test vet race bench bench-pipeline eval fuzz report adversary commute-agreement ci clean
 
 all: build test
 
@@ -26,26 +26,10 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/obs
 
-# Regenerate the detect-engine comparison: capture cost vs per-engine
-# trace-replay analysis cost (time and allocs), as JSON.
-bench-detect:
-	$(GO) test -run '^$$' -bench BenchmarkDetectEngines -benchmem -benchtime 3x . \
-		| awk -f scripts/benchjson.awk > BENCH_detect.json
-
-# Regression gate: re-run the detect-engine benchmarks into a scratch
-# file and fail if any benchmark/stage regressed more than 20% in ns/op
-# against the committed BENCH_detect.json baseline — and, via
-# -parallel-wins, that every both-jN stage in the fresh numbers beats
-# its serial both stage within the noise floor.
-bench-diff:
-	$(GO) test -run '^$$' -bench BenchmarkDetectEngines -benchmem -benchtime 3x . \
-		| awk -f scripts/benchjson.awk > BENCH_detect.new.json
-	$(GO) run ./scripts/benchdiff -parallel-wins BENCH_detect.json BENCH_detect.new.json
-
 # End-to-end repair benchmark (pipebench/, its own Go module): vet and
-# unit-test it, then make a 3-second paper-suite run, which re-checks
-# all 12 repaired programs against pipebench/expected/*.out and
-# re-detects them race-free. Fails unless the run's JSON line reports
+# unit-test it, then make a 3-second run of each workload, which
+# re-checks every repaired program against its reference output and
+# re-detects it race-free. Fails unless each run's JSON line reports
 # "correct":true and "failed":0.
 bench-pipeline:
 	cd pipebench && $(GO) vet ./... && $(GO) test ./...

@@ -12,12 +12,10 @@ package main_test
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"finishrepair/internal/adversary"
 	"finishrepair/internal/bench"
@@ -172,36 +170,17 @@ func BenchmarkHomeworkGrading(b *testing.B) {
 }
 
 // BenchmarkDetectEngines splits detection into its capture-once /
-// analyze-many halves and compares the pluggable engines: "capture" is
-// the one instrumented execution that records the event-trace IR,
-// "espbags" / "vc" are pure trace replays through each detector backend,
-// "both" runs ESP-Bags and then VC as two independent analyses and
-// compares their race sets (the independent-engines gold standard), and
-// "both-j1" / "both-j2" / "both-j4" run the fused dual-oracle engine
-// that -detector both runs at every -j — one serial shadow scan
-// cross-checking both oracles per ordering query — through
-// race.AnalyzeParallel, which ignores its worker count, so the three
-// stages time the same scan. Engines are released back to the
-// shadow-memory reuse pool between iterations, as the repair loop does.
-// Regenerate BENCH_detect.json with `make bench-detect`; gate
-// regressions with `make bench-diff` (which also enforces both-jN <=
-// both per benchmark).
+// analyze-many halves and compares the engines, per finish-stripped
+// Table-1 program: "capture" is the one instrumented execution that
+// records the event-trace IR; "espbags" and "vc" replay the trace into
+// each single-oracle engine; "both" runs ESP-Bags and then VC as two
+// independent analyses and compares their race sets (the
+// independent-engines gold standard); "fused" is what -detector both
+// runs at every -j, one shadow scan whose every ordering query both
+// oracles answer. Engines are released back to the shadow-memory reuse
+// pool between iterations, as the repair loop does. It profiles one
+// layer; pipebench measures the repair end to end.
 func BenchmarkDetectEngines(b *testing.B) {
-	// reportQuantiles attaches the per-iteration latency quantiles to
-	// the result (p50-ns/op etc.); scripts/benchdiff gates on p95 so a
-	// tail regression can't hide behind a stable mean.
-	reportQuantiles := func(b *testing.B, durs []time.Duration) {
-		if len(durs) == 0 {
-			return
-		}
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		q := func(p float64) float64 {
-			return float64(durs[int(p*float64(len(durs)-1)+0.5)])
-		}
-		b.ReportMetric(q(0.50), "p50-ns/op")
-		b.ReportMetric(q(0.95), "p95-ns/op")
-		b.ReportMetric(q(0.99), "p99-ns/op")
-	}
 	for _, bm := range bench.All() {
 		bm := bm
 		prog := parser.MustParse(bm.Src(bm.RepairSize))
@@ -214,93 +193,59 @@ func BenchmarkDetectEngines(b *testing.B) {
 		b.Run(bm.Name+"/capture", func(b *testing.B) {
 			b.ReportAllocs()
 			runtime.GC() // pay the previous stage's GC debt outside the timer
-			durs := make([]time.Duration, 0, b.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
 				if _, _, err := race.Capture(info, nil); err != nil {
 					b.Fatal(err)
 				}
-				durs = append(durs, time.Since(t0))
 			}
 			b.ReportMetric(float64(tr.Len()), "events")
-			reportQuantiles(b, durs)
 		})
-		for _, kind := range []race.EngineKind{race.EngineESPBags, race.EngineVC} {
-			kind := kind
-			b.Run(bm.Name+"/"+kind.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				// Warm the detector pools so B/op reflects the
-				// steady state, not one-time slab growth.
-				eng := race.NewEngine(kind, race.VariantMRW)
-				if _, err := race.Analyze(tr, info.Prog, nil, eng, nil, false); err != nil {
-					b.Fatal(err)
-				}
-				eng.Release()
-				runtime.GC()
-				durs := make([]time.Duration, 0, b.N)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					t0 := time.Now()
-					eng := race.NewEngine(kind, race.VariantMRW)
-					if _, err := race.Analyze(tr, info.Prog, nil, eng, nil, false); err != nil {
-						b.Fatal(err)
-					}
-					eng.Release()
-					durs = append(durs, time.Since(t0))
-				}
-				reportQuantiles(b, durs)
-			})
+		// analyze replays the trace into a new engine of kind k and
+		// fails on an oracle disagreement; the caller releases it.
+		analyze := func(b *testing.B, k race.EngineKind) race.Engine {
+			eng := race.NewEngine(k, race.VariantMRW)
+			if _, err := race.Analyze(tr, info.Prog, nil, eng, nil, false); err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.Check(); err != nil {
+				b.Fatal(err)
+			}
+			return eng
 		}
-		// both = ESP-Bags then VC, each its own analysis, race sets
-		// compared; both-jN = the fused dual-oracle engine under
-		// AnalyzeParallel.
-		type stage struct {
+		stages := []struct {
 			name string
 			run  func(b *testing.B)
-		}
-		stages := []stage{{"both", func(b *testing.B) {
-			var keys [2][]string
-			for i, kind := range []race.EngineKind{race.EngineESPBags, race.EngineVC} {
-				eng := race.NewEngine(kind, race.VariantMRW)
-				if _, err := race.Analyze(tr, info.Prog, nil, eng, nil, false); err != nil {
-					b.Fatal(err)
+		}{
+			{"espbags", func(b *testing.B) { analyze(b, race.EngineESPBags).Release() }},
+			{"vc", func(b *testing.B) { analyze(b, race.EngineVC).Release() }},
+			{"both", func(b *testing.B) {
+				var keys [2][]string
+				for i, kind := range []race.EngineKind{race.EngineESPBags, race.EngineVC} {
+					eng := analyze(b, kind)
+					for _, r := range eng.Races() {
+						keys[i] = append(keys[i], r.String())
+					}
+					eng.Release()
+					sort.Strings(keys[i])
 				}
-				for _, r := range eng.Races() {
-					keys[i] = append(keys[i], r.String())
+				if !slices.Equal(keys[0], keys[1]) {
+					b.Fatalf("espbags found %d race(s), vc %d: race sets differ", len(keys[0]), len(keys[1]))
 				}
-				eng.Release()
-				sort.Strings(keys[i])
-			}
-			if !slices.Equal(keys[0], keys[1]) {
-				b.Fatalf("espbags found %d race(s), vc %d: race sets differ", len(keys[0]), len(keys[1]))
-			}
-		}}}
-		for _, workers := range []int{1, 2, 4} {
-			stages = append(stages, stage{fmt.Sprintf("both-j%d", workers), func(b *testing.B) {
-				eng := race.NewFused(race.VariantMRW)
-				if _, err := race.AnalyzeParallel(tr, info.Prog, nil, eng, nil, false, workers); err != nil {
-					b.Fatal(err)
-				}
-				if err := eng.Check(); err != nil {
-					b.Fatal(err)
-				}
-				eng.Release()
-			}})
+			}},
+			{"fused", func(b *testing.B) { analyze(b, race.EngineBoth).Release() }},
 		}
 		for _, st := range stages {
 			b.Run(bm.Name+"/"+st.name, func(b *testing.B) {
 				b.ReportAllocs()
+				// Warm the detector pools so B/op reflects the steady
+				// state, not one-time slab growth.
 				st.run(b)
 				runtime.GC()
-				durs := make([]time.Duration, 0, b.N)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					t0 := time.Now()
 					st.run(b)
-					durs = append(durs, time.Since(t0))
 				}
-				reportQuantiles(b, durs)
 			})
 		}
 	}

@@ -205,8 +205,7 @@ func main() {
 	rep, err := prog.Repair(tdr.RepairOptions{
 		Detector:           d,
 		Engine:             eng,
-		MaxIterations:      *maxIter,
-		Budget:             tdr.Budget{Timeout: *timeout, MaxDPStates: *maxDPStates},
+		Budget:             tdr.Budget{Timeout: *timeout, MaxDPStates: *maxDPStates, MaxIterations: *maxIter},
 		Workers:            *workers,
 		Vet:                *vet,
 		Explain:            *explainFile != "",

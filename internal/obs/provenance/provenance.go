@@ -132,7 +132,10 @@ type WitnessRec struct {
 	Race string `json:"race,omitempty"`
 	// Schedule is the replayable schedule ("defer-write@loc1", "random#7").
 	Schedule string `json:"schedule"`
-	Reason   string `json:"reason"` // "output differs", "final state differs", ...
+	// Reason is "output differs", "final state differs", or
+	// "schedule failed: ...".
+	Reason string `json:"reason"`
+	// Expected/Actual are the oracle's and the schedule's outputs.
 	Expected string `json:"expected"`
 	Actual   string `json:"actual"`
 	// ExpectedState/ActualState render the final globals — the torn value
@@ -147,10 +150,13 @@ type WitnessRec struct {
 // many schedules ran, how many diverged from the serial oracle, and the
 // first divergence if any.
 type AdversaryRec struct {
-	Schedules int         `json:"schedules"`
-	Failures  int         `json:"failures"`
-	Seed      int64       `json:"seed"`
-	First     *WitnessRec `json:"first,omitempty"`
+	// Schedules is how many adversarial schedules ran; Failures how many
+	// diverged from the serial oracle (0 for a sound repair).
+	Schedules int `json:"schedules"`
+	Failures  int `json:"failures"`
+	// Seed based the seeded random-priority schedules.
+	Seed  int64       `json:"seed"`
+	First *WitnessRec `json:"first,omitempty"`
 }
 
 // GapVerdictRec is the schedule-search verdict for one coverage gap:
@@ -158,7 +164,7 @@ type AdversaryRec struct {
 // "unreachable" (no schedule ever executed the candidate's statements on
 // this input), or "no-divergence".
 type GapVerdictRec struct {
-	Gap      string `json:"gap"`
+	Gap      string `json:"gap"` // the rendered coverage gap
 	Status   string `json:"status"`
 	Schedule string `json:"schedule,omitempty"` // witnessing schedule, if any
 }

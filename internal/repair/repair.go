@@ -36,7 +36,8 @@ type Options struct {
 	// Variant selects the detector (default MRW, which finds all races in
 	// one run; SRW may need extra iterations).
 	Variant race.Variant
-	// MaxIterations bounds repair/re-detect rounds (default 10).
+	// MaxIterations bounds repair/re-detect rounds (0 =
+	// guard.DefaultMaxIterations).
 	MaxIterations int
 	// UseTraceFiles round-trips every round's races through the binary
 	// race-trace encoding, mirroring the paper's detector/analyzer file
@@ -206,7 +207,7 @@ func RepairChecked(info *sem.Info, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("repair: unknown strategy %d", opts.Strategy)
 	}
 	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 10
+		opts.MaxIterations = guard.DefaultMaxIterations
 	}
 	rep := &Report{}
 	root := opts.ParentSpan.Child("repair")

@@ -2,8 +2,6 @@ package main_test
 
 import (
 	"context"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -15,19 +13,6 @@ import (
 	"finishrepair/internal/repair"
 	"finishrepair/tdr"
 )
-
-// testWorkers is the parallel worker count exercised by the determinism
-// tests; the CI matrix overrides it via TDR_TEST_WORKERS.
-func testWorkers(t *testing.T) int {
-	if s := os.Getenv("TDR_TEST_WORKERS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("bad TDR_TEST_WORKERS=%q", s)
-		}
-		return n
-	}
-	return 8
-}
 
 // repairOutcome is everything a repair run produces that callers can
 // observe: the rewritten source and the per-iteration statistics.
@@ -67,40 +52,41 @@ func repairWithWorkers(t *testing.T, src string, workers int) repairOutcome {
 	return out
 }
 
-// TestRepairWorkersDeterministic repairs every benchmark program
-// sequentially and with the parallel analysis pipeline (concurrent
-// differential engines plus the per-NS-LCA DP worker pool) and requires
-// byte-identical repaired source and identical per-iteration race and
-// insertion statistics: worker count must never change the result.
+// TestRepairWorkersDeterministic repairs every benchmark program at
+// -j 1, 4 and 8, where the worker count sizes the per-NS-LCA placement
+// pool, and requires byte-identical repaired source and identical
+// per-iteration race and insertion statistics: worker count must never
+// change the result.
 func TestRepairWorkersDeterministic(t *testing.T) {
-	workers := testWorkers(t)
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			src := b.Src(b.RepairSize)
 			seq := repairWithWorkers(t, src, 1)
-			par := repairWithWorkers(t, src, workers)
-			if seq.source != par.source {
-				t.Fatalf("repaired source differs between -j 1 and -j %d", workers)
-			}
-			if seq.inserted != par.inserted {
-				t.Fatalf("insertions differ: -j 1 inserted %d, -j %d inserted %d", seq.inserted, workers, par.inserted)
-			}
-			if seq.iterCount != par.iterCount {
-				t.Fatalf("iteration counts differ: %d vs %d", seq.iterCount, par.iterCount)
-			}
-			for i := range seq.races {
-				if seq.races[i] != par.races[i] || seq.nslcas[i] != par.nslcas[i] {
-					t.Fatalf("iteration %d differs: -j 1 (%d races, %d groups), -j %d (%d races, %d groups)",
-						i, seq.races[i], seq.nslcas[i], workers, par.races[i], par.nslcas[i])
+			for _, workers := range []int{4, 8} {
+				par := repairWithWorkers(t, src, workers)
+				if seq.source != par.source {
+					t.Fatalf("repaired source differs between -j 1 and -j %d", workers)
 				}
-			}
-			if seq.dpStates != par.dpStates {
-				t.Fatalf("DP states differ: %d vs %d", seq.dpStates, par.dpStates)
-			}
-			if seq.degraded || par.degraded {
-				t.Fatalf("unexpected degraded placement without a budget")
+				if seq.inserted != par.inserted {
+					t.Fatalf("insertions differ: -j 1 inserted %d, -j %d inserted %d", seq.inserted, workers, par.inserted)
+				}
+				if seq.iterCount != par.iterCount {
+					t.Fatalf("iteration counts differ: -j 1 %d, -j %d %d", seq.iterCount, workers, par.iterCount)
+				}
+				for i := range seq.races {
+					if seq.races[i] != par.races[i] || seq.nslcas[i] != par.nslcas[i] {
+						t.Fatalf("iteration %d differs: -j 1 (%d races, %d groups), -j %d (%d races, %d groups)",
+							i, seq.races[i], seq.nslcas[i], workers, par.races[i], par.nslcas[i])
+					}
+				}
+				if seq.dpStates != par.dpStates {
+					t.Fatalf("DP states differ: -j 1 %d, -j %d %d", seq.dpStates, workers, par.dpStates)
+				}
+				if seq.degraded || par.degraded {
+					t.Fatalf("unexpected degraded placement without a budget")
+				}
 			}
 		})
 	}

@@ -46,47 +46,16 @@ const (
 // Witness is a reproduced race: a deterministic schedule under which
 // the program observably diverges from the serial oracle, plus the
 // evidence. Re-running the same program under the same schedule
-// reproduces the same divergence.
-type Witness struct {
-	// Race attributes the witness to a reported race ("W->W on loc 1
-	// (3:9 vs 4:9)"); empty for unattributed verify divergences.
-	Race string
-	// Schedule is the replayable schedule name ("defer-write@loc1",
-	// "random#7").
-	Schedule string
-	// Reason is "output differs", "final state differs", or
-	// "schedule failed: ...".
-	Reason string
-	// Expected/Actual are the oracle's and the schedule's outputs.
-	Expected, Actual string
-	// ExpectedState/ActualState render the final globals — the torn
-	// value itself when the divergence never reaches the output.
-	ExpectedState, ActualState string
-	// Trace is the schedule's grant-sequence digest (hex), for replay
-	// checking.
-	Trace string
-}
+// reproduces the same divergence. It is the provenance record itself,
+// so -explain writes it as is.
+type Witness = provenance.WitnessRec
 
 // AdversaryReport summarizes the post-repair K-schedule verification.
-type AdversaryReport struct {
-	// Schedules is how many adversarial schedules ran; Failures how many
-	// diverged from the serial oracle (0 for a sound repair).
-	Schedules, Failures int
-	// Seed based the seeded random-priority schedules.
-	Seed int64
-	// First is the first divergence, if any.
-	First *Witness
-}
+type AdversaryReport = provenance.AdversaryRec
 
-// GapVerdict is the schedule-search verdict for one coverage gap.
-type GapVerdict struct {
-	// Gap is the rendered candidate (matches CoverageGap.String()).
-	Gap string
-	// Status is GapWitnessed, GapUnreachable, or GapNoDivergence.
-	Status string
-	// Schedule is the witnessing schedule when Status is GapWitnessed.
-	Schedule string
-}
+// GapVerdict is the schedule-search verdict for one coverage gap; its
+// Status is GapWitnessed, GapUnreachable, or GapNoDivergence.
+type GapVerdict = provenance.GapVerdictRec
 
 // AdversaryError reports that the repaired program diverged from the
 // serial oracle under adversarial schedules — the repair is unsound for
@@ -114,19 +83,6 @@ func convertWitness(w *adversary.Witness, raceDesc string) Witness {
 		ExpectedState: w.ExpectedState,
 		ActualState:   w.ActualState,
 		Trace:         fmt.Sprintf("%016x", w.Trace),
-	}
-}
-
-func witnessRec(w Witness) provenance.WitnessRec {
-	return provenance.WitnessRec{
-		Race:          w.Race,
-		Schedule:      w.Schedule,
-		Reason:        w.Reason,
-		Expected:      w.Expected,
-		Actual:        w.Actual,
-		ExpectedState: w.ExpectedState,
-		ActualState:   w.ActualState,
-		Trace:         w.Trace,
 	}
 }
 
@@ -262,26 +218,11 @@ func targetLocs(targets []adversary.RaceTarget) []uint64 {
 	return locs
 }
 
-// foldAdversary copies the stage's results into the provenance record.
+// foldAdversary records the stage's results in the provenance record.
 func foldAdversary(ex *provenance.Explain, report *RepairReport) {
-	for _, w := range report.Witnesses {
-		ex.Witnesses = append(ex.Witnesses, witnessRec(w))
-	}
-	for _, g := range report.GapVerdicts {
-		ex.GapVerdicts = append(ex.GapVerdicts, provenance.GapVerdictRec{Gap: g.Gap, Status: g.Status, Schedule: g.Schedule})
-	}
-	if report.Adversary != nil {
-		ar := &provenance.AdversaryRec{
-			Schedules: report.Adversary.Schedules,
-			Failures:  report.Adversary.Failures,
-			Seed:      report.Adversary.Seed,
-		}
-		if report.Adversary.First != nil {
-			r := witnessRec(*report.Adversary.First)
-			ar.First = &r
-		}
-		ex.Adversary = ar
-	}
+	ex.Witnesses = report.Witnesses
+	ex.GapVerdicts = report.GapVerdicts
+	ex.Adversary = report.Adversary
 }
 
 // StressOptions configures Stress.

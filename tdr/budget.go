@@ -9,8 +9,9 @@ import (
 // S-DPST nodes, and repair iterations. The zero value applies the
 // defaults (no deadline, DefaultOpLimit ops, unlimited DP states and
 // nodes, DefaultMaxIterations rounds). Pass one to the *Ctx entry points
-// (LoadCtx, DetectCtx, RepairCtx, RunSequentialCtx, RunParallelCtx,
-// SDPSTDotCtx, CoverageCtx) or set RepairOptions.Budget.
+// (DetectCtx, DetectEngineCtx, RunSequentialCtx, RunParallelCtx,
+// SDPSTDotCtx, CoverageCtx), or set RepairOptions.Budget for RepairCtx
+// and RepairAcrossCtx.
 type Budget = guard.Budget
 
 // Resource names the budget dimension that ran out in a

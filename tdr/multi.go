@@ -53,10 +53,9 @@ func (p *Program) CoverageCtx(ctx context.Context, b Budget) (CoverageReport, er
 // rendering (last input) with every inserted finish and isolated; the
 // report aggregates all rounds.
 //
-// Detector, Engine, Workers, Strategy, MaxIterations, Budget and Tracer
-// apply as in Repair. Vet, Explain, Witness and AdversarySchedules do
-// not: they describe one program's repair, not a session over several
-// inputs.
+// Detector, Engine, Workers, Strategy, Budget and Tracer apply as in
+// Repair. Vet, Explain, Witness and AdversarySchedules do not: they
+// describe one program's repair, not a session over several inputs.
 func RepairAcross(srcs []string, opts RepairOptions) (string, *RepairReport, error) {
 	return RepairAcrossCtx(context.Background(), srcs, opts)
 }

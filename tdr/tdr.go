@@ -52,32 +52,18 @@ type Program struct {
 	tracer *obs.Tracer
 }
 
-// Load parses and checks an HJ-lite source program.
+// Load parses and checks an HJ-lite source program. Any panic in the
+// front end surfaces as an *InternalError.
 func Load(src string) (*Program, error) { return LoadTraced(src, nil) }
-
-// LoadCtx is Load with cancellation and a budget: the front end checks
-// ctx before each phase and any panic surfaces as an *InternalError.
-func LoadCtx(ctx context.Context, src string, b Budget) (*Program, error) {
-	return loadGuarded(ctx, src, b, nil)
-}
 
 // LoadTraced is Load with observability: the front-end phases are
 // recorded as "parse" and "sem-check" spans on tr, and tr becomes the
 // program's tracer for later Detect/Repair/Run calls. A nil tracer makes
 // LoadTraced identical to Load.
 func LoadTraced(src string, tr *obs.Tracer) (*Program, error) {
-	return loadGuarded(nil, src, Budget{}, tr)
-}
-
-func loadGuarded(ctx context.Context, src string, b Budget, tr *obs.Tracer) (*Program, error) {
-	m := guard.NewMeter(ctx, b)
 	var prog *ast.Program
 	var info *sem.Info
 	err := guard.Protect("parse", func() error {
-		m.SetPhase("parse")
-		if err := m.Check(); err != nil {
-			return err
-		}
 		if err := faults.Inject(faults.Parse); err != nil {
 			return err
 		}
@@ -91,10 +77,6 @@ func loadGuarded(ctx context.Context, src string, b Budget, tr *obs.Tracer) (*Pr
 		return nil, fmt.Errorf("tdr: %w", err)
 	}
 	err = guard.Protect("sem-check", func() error {
-		m.SetPhase("sem-check")
-		if err := m.Check(); err != nil {
-			return err
-		}
 		if err := faults.Inject(faults.SemCheck); err != nil {
 			return err
 		}
@@ -283,17 +265,12 @@ func (p *Program) captureAnalyze(ctx context.Context, b Budget, eng race.Engine)
 	return res, tree, nil
 }
 
-// SDPSTDot runs the canonical instrumented execution and renders the
+// SDPSTDotCtx runs the canonical instrumented execution and renders the
 // S-DPST in Graphviz DOT format with the detected races as dotted red
-// edges — the paper's Figure 9 for your program.
-func (p *Program) SDPSTDot() (string, error) {
-	return p.SDPSTDotCtx(context.Background(), Budget{})
-}
-
-// SDPSTDotCtx is SDPSTDot with cancellation and a budget: the capture
-// charges against b's op limit, the replay that builds the S-DPST
-// against its node limit, and both abort with a typed error when ctx is
-// canceled or a limit trips.
+// edges — the paper's Figure 9 for your program. The capture charges
+// against b's op limit, the replay that builds the S-DPST against its
+// node limit, and both abort with a typed error when ctx is canceled or
+// a limit trips.
 func (p *Program) SDPSTDotCtx(ctx context.Context, b Budget) (string, error) {
 	eng := race.NewEngine(ESPBags, MRW)
 	defer eng.Release()
@@ -315,11 +292,9 @@ type RepairOptions struct {
 	// cross-checks every ordering query of every detection round and
 	// fails the repair with a *DisagreementError if the oracles ever
 	// diverge.
-	Engine        Engine
-	MaxIterations int
+	Engine Engine
 	// Budget bounds the run's resources (wall clock, interpreter ops, DP
-	// states, S-DPST nodes, iterations). Zero value = defaults. A nonzero
-	// MaxIterations field above takes precedence over Budget.MaxIterations.
+	// states, S-DPST nodes, iterations). Zero value = defaults.
 	Budget Budget
 	// Tracer records per-phase spans; when nil, the tracer attached by
 	// LoadTraced (if any) is used.
@@ -478,14 +453,10 @@ func (p *Program) Repair(opts RepairOptions) (*RepairReport, error) {
 // loop builds the repair loop's options from opts, for Repair and
 // RepairAcross alike.
 func (opts RepairOptions) loop(tr *obs.Tracer, m *guard.Meter) repair.Options {
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = opts.Budget.Iterations()
-	}
 	return repair.Options{
 		Variant:       opts.Detector,
 		Engine:        opts.Engine,
-		MaxIterations: maxIter,
+		MaxIterations: opts.Budget.Iterations(),
 		Tracer:        tr,
 		Meter:         m,
 		Workers:       opts.Workers,
