@@ -48,13 +48,14 @@ bench-pipeline:
 eval:
 	$(GO) run ./cmd/hjbench -all -runs 3 > testdata/evaluation_output.txt
 
-# Repair every bundled example with provenance (-explain) and event-log
-# (-jsonl) capture, then render each run as a self-contained HTML report
-# under reports/. CI runs this as the report smoke job and uploads the
-# HTML as an artifact.
+# Repair every bundled example, plus buggy_fib.hj (one finish chosen by
+# 232 NS-LCA groups), with provenance (-explain) and event-log (-jsonl)
+# capture, then render each run as a self-contained HTML report under
+# reports/. CI runs this as the report smoke job and uploads the HTML
+# as an artifact.
 report:
 	@mkdir -p reports
-	@for f in examples/hj/*.hj; do \
+	@for f in examples/hj/*.hj testdata/buggy_fib.hj; do \
 		n=$$(basename $$f .hj); \
 		echo "report $$f -> reports/$$n.html"; \
 		$(GO) run ./cmd/hjrepair -quiet -vet -explain reports/$$n.explain.json \

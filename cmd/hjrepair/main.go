@@ -29,11 +29,12 @@
 // and keeps the one with the shorter post-repair critical path. The
 // -explain record documents every choice (candidate spans and why).
 //
-// -j N parallelizes the analysis: above 1 the first detection round
-// streams, overlapping capture with analysis, and the independent
-// per-NS-LCA finish-placement problems are solved on a worker pool of N
-// goroutines. Every detection round is one serial shadow scan, with any
-// detector. The repaired program is byte-identical for any N.
+// -j N solves the independent per-NS-LCA finish-placement problems on a
+// worker pool of N goroutines. It does not change detection: every
+// detection round is one serial shadow scan, with any detector, and at
+// every N the first round overlaps its analysis with the capture once
+// the trace is long enough. The repaired program is byte-identical for
+// any N.
 //
 // Robustness: -timeout bounds the wall-clock time of the whole pipeline
 // and -max-dp-states bounds the dynamic-programming states explored by
@@ -53,11 +54,12 @@
 // prints the span tree to stderr.
 //
 // Provenance: -explain out.json records WHY each finish landed where it
-// did — per repair iteration, the detected race pairs, their NS-LCA
-// groups, the DP placement decisions (candidates, chosen range, states
-// explored), and the critical-path length before/after — as a JSON
-// document hjreport can render. With -v the same record is also
-// summarized as human-readable "why this finish" text on stderr.
+// did — per repair iteration, the NS-LCA groups with their race pairs
+// and DP placement decisions (candidates, chosen ranges, states
+// explored), one entry per inserted scope naming the groups that chose
+// it, and the critical-path length before/after — as a JSON document
+// hjreport can render. With -v the same record is also summarized as
+// human-readable "why this finish" text on stderr.
 //
 // Adversarial replay: -witness replays each reported race on the
 // original program under deterministic race-directed schedules until it

@@ -56,13 +56,19 @@ type counterRow struct {
 // groupView is one NS-LCA race group of the race table.
 type groupView struct {
 	Iteration int
-	Status    string // "applied", "deferred", "pruned (static serial)", "fallback"
+	Status    string // "applied", "applied (fallback)", "deferred"
 	provenance.Group
 }
 
-// finishView is one row of the scope-placement timeline.
+// finishView is one row of the scope-placement timeline. The strategy,
+// commute, NS-LCA, fallback and DP-state cells show First, the first
+// group that chose the scope; More counts the others, and Races sums the
+// races of them all.
 type finishView struct {
 	provenance.FinishEntry
+	First     provenance.Group
+	More      int
+	Races     int
 	KindLabel string // "finish" or "isolated"
 	SpanDelta int64
 	ParBefore string
@@ -117,8 +123,10 @@ func buildReport(title string, ex *provenance.Explain, recs []obs.SpanRecord, sa
 
 func buildExplain(d *reportData, ex *provenance.Explain) {
 	races := 0
-	if len(ex.Iterations) > 0 {
-		races = len(ex.Iterations[0].Races)
+	for _, it := range ex.Iterations {
+		for _, g := range it.Groups {
+			races += len(g.Races)
+		}
 	}
 	d.Chips = append(d.Chips,
 		chip{Label: "races found", Value: fmt.Sprint(races)},
@@ -149,16 +157,23 @@ func buildExplain(d *reportData, ex *provenance.Explain) {
 		if kind == "isolated" {
 			isolated++
 		}
-		if f.CommuteProbe == "confirmed" {
-			confirmed++
-		}
-		d.Finishes = append(d.Finishes, finishView{
+		v := finishView{
 			FinishEntry: f,
 			KindLabel:   kind,
 			SpanDelta:   f.CPLAfter.Span - f.CPLBefore.Span,
 			ParBefore:   fmt.Sprintf("%.2f", f.CPLBefore.Parallelism()),
 			ParAfter:    fmt.Sprintf("%.2f", f.CPLAfter.Parallelism()),
-		})
+		}
+		if gs := ex.GroupsOf(f); len(gs) > 0 {
+			v.First, v.More = *gs[0], len(gs)-1
+			for _, g := range gs {
+				v.Races += len(g.Races)
+			}
+		}
+		if v.First.CommuteProbe == "confirmed" {
+			confirmed++
+		}
+		d.Finishes = append(d.Finishes, v)
 	}
 	if isolated > 0 {
 		d.Chips = append(d.Chips, chip{Label: "isolated inserted", Value: fmt.Sprint(isolated)})

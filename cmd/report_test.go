@@ -1,19 +1,21 @@
 package cmd_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"finishrepair/internal/obs"
 	"finishrepair/internal/obs/provenance"
 )
 
 // TestExplainProvenance runs hjrepair -explain end to end and checks
 // the acceptance criterion: one provenance entry per placed finish,
-// each carrying the race pairs, the NS-LCA node, the DP states
-// explored, and the CPL before/after.
+// each naming groups that carry the race pairs, the NS-LCA node and the
+// DP states explored, and each carrying the CPL before/after.
 func TestExplainProvenance(t *testing.T) {
 	dir := t.TempDir()
 	explain := filepath.Join(dir, "explain.json")
@@ -41,14 +43,20 @@ func TestExplainProvenance(t *testing.T) {
 		t.Fatal("no finish entries in explain record")
 	}
 	for i, fe := range ex.Finishes {
-		if len(fe.Races) == 0 {
-			t.Errorf("finish %d: no race pairs", i)
+		gs := ex.GroupsOf(fe)
+		if len(gs) == 0 {
+			t.Errorf("finish %d: names no group", i)
 		}
-		if fe.LCA.Kind == "" {
-			t.Errorf("finish %d: no NS-LCA node", i)
-		}
-		if fe.DPStates == 0 && !fe.Fallback {
-			t.Errorf("finish %d: no DP states and not a fallback", i)
+		for _, g := range gs {
+			if len(g.Races) == 0 {
+				t.Errorf("finish %d: no race pairs", i)
+			}
+			if g.LCA.Kind == "" {
+				t.Errorf("finish %d: no NS-LCA node", i)
+			}
+			if g.DPStates == 0 && !g.Fallback {
+				t.Errorf("finish %d: no DP states and not a fallback", i)
+			}
 		}
 		if fe.CPLBefore.Work == 0 || fe.CPLAfter.Work == 0 {
 			t.Errorf("finish %d: missing CPL before/after: %+v", i, fe)
@@ -157,5 +165,109 @@ func TestHjreportUsage(t *testing.T) {
 	_, _, code := runTool(t, "hjreport")
 	if code != 2 {
 		t.Errorf("hjreport with no inputs: exit %d, want 2", code)
+	}
+}
+
+// repairBuggyFib runs hjrepair with extra flags on buggy_fib.hj, whose
+// repair inserts 2 finishes for 465 races in 233 NS-LCA groups, 232 of
+// which choose the same finish. It returns hjrepair's stderr and the
+// explain record.
+func repairBuggyFib(t *testing.T, explain string, flags ...string) (string, *provenance.Explain) {
+	t.Helper()
+	args := append(flags, "-explain", explain, "-o", filepath.Join(filepath.Dir(explain), "fixed.hj"), "../testdata/buggy_fib.hj")
+	_, stderr, code := runTool(t, "hjrepair", args...)
+	if code != 0 {
+		t.Fatalf("hjrepair failed (%d): %s", code, stderr)
+	}
+	f, err := os.Open(explain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ex, err := provenance.ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stderr, ex
+}
+
+// TestExplainOneRecordPerFact checks the explain record against the
+// repair it explains: one finish entry per inserted scope, as many as
+// the summary and the dp-place spans' placements count, and every race
+// stored once, in its NS-LCA group, and printed once by -v.
+func TestExplainOneRecordPerFact(t *testing.T) {
+	dir := t.TempDir()
+	jsonl := filepath.Join(dir, "run.jsonl")
+	stderr, ex := repairBuggyFib(t, filepath.Join(dir, "explain.json"), "-v", "-jsonl", jsonl)
+	m := regexp.MustCompile(`hjrepair: (\d+) race\(s\) found, (\d+) finish\(es\) inserted`).FindStringSubmatch(stderr)
+	if m == nil || m[1] != "465" || m[2] != "2" {
+		t.Fatalf("summary %q, want 465 races and 2 finishes:\n%s", m, stderr)
+	}
+	if len(ex.Finishes) != 2 {
+		t.Errorf("%d finish entries, want 2 (the inserted finishes)", len(ex.Finishes))
+	}
+
+	races := 0
+	seen := make(map[string]bool)
+	for _, it := range ex.Iterations {
+		for _, g := range it.Groups {
+			races += len(g.Races)
+			for _, r := range g.Races {
+				key := fmt.Sprint(it.N, r)
+				if seen[key] {
+					t.Errorf("race %s recorded twice", key)
+				}
+				seen[key] = true
+			}
+		}
+	}
+	if races != 465 {
+		t.Errorf("groups hold %d races, want the summary's 465", races)
+	}
+	if n := strings.Count(stderr, " race on "); n != 465 {
+		t.Errorf("-v text prints %d race lines, want 465 (each race once)", n)
+	}
+
+	f, err := os.Open(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, _, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var placed int64
+	for _, r := range recs {
+		for _, a := range r.Attrs {
+			if r.Name == "dp-place" && a.Key == "placements" {
+				placed += a.Int
+			}
+		}
+	}
+	if placed != int64(len(ex.Finishes)) {
+		t.Errorf("dp-place spans commit %d placements, explain has %d entries", placed, len(ex.Finishes))
+	}
+}
+
+// TestHjreportChipsMatchSummary checks hjreport's headline chips
+// against hjrepair's summary: races found over every round, and one
+// finish per inserted scope.
+func TestHjreportChipsMatchSummary(t *testing.T) {
+	dir := t.TempDir()
+	explain := filepath.Join(dir, "explain.json")
+	repairBuggyFib(t, explain, "-quiet")
+	page, stderr, code := runTool(t, "hjreport", "-explain", explain)
+	if code != 0 {
+		t.Fatalf("hjreport failed (%d): %s", code, stderr)
+	}
+	for _, want := range []string{
+		`<span class="v">465</span><span class="l">races found</span>`,
+		`<span class="v">2</span><span class="l">finishes inserted</span>`,
+		`+231 more group(s)`,
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("report missing %q", want)
+		}
 	}
 }

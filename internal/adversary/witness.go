@@ -77,6 +77,22 @@ type Witness struct {
 	Trace  uint64
 }
 
+// newWitness records schedule s's divergence from the oracle, for the
+// given reason, as a witness without a race target.
+func newWitness(s Schedule, reason string, oracle, out *Outcome) *Witness {
+	return &Witness{
+		Schedule:      s,
+		Reason:        reason,
+		Expected:      oracle.Output,
+		Actual:        out.Output,
+		ExpectedState: oracle.State,
+		ActualState:   out.State,
+		Err:           out.Err,
+		Yields:        out.Yields,
+		Trace:         out.Trace,
+	}
+}
+
 // SearchOptions bounds a witness/verify/gap search.
 type SearchOptions struct {
 	// Meter charges every schedule's yields to the pipeline budget;
@@ -121,18 +137,9 @@ func FindWitness(info *sem.Info, oracle *Outcome, target RaceTarget, opts Search
 		}
 		if div, reason := Diverges(oracle, out); div {
 			mWitnessesFound.Inc()
-			return &Witness{
-				Target:        target,
-				Schedule:      s,
-				Reason:        reason,
-				Expected:      oracle.Output,
-				Actual:        out.Output,
-				ExpectedState: oracle.State,
-				ActualState:   out.State,
-				Err:           out.Err,
-				Yields:        out.Yields,
-				Trace:         out.Trace,
-			}, nil
+			w := newWitness(s, reason, oracle, out)
+			w.Target = target
+			return w, nil
 		}
 	}
 	return nil, nil
@@ -190,17 +197,7 @@ func Verify(info *sem.Info, oracle *Outcome, scheds []Schedule, opts SearchOptio
 		if div {
 			rep.Failures++
 			if rep.First == nil {
-				rep.First = &Witness{
-					Schedule:      s,
-					Reason:        reason,
-					Expected:      oracle.Output,
-					Actual:        out.Output,
-					ExpectedState: oracle.State,
-					ActualState:   out.State,
-					Err:           out.Err,
-					Yields:        out.Yields,
-					Trace:         out.Trace,
-				}
+				rep.First = newWitness(s, reason, oracle, out)
 			}
 		}
 	}
@@ -265,17 +262,7 @@ func SearchGap(info *sem.Info, oracle *Outcome, target GapTarget, opts SearchOpt
 		if div, reason := Diverges(oracle, out); div {
 			mWitnessesFound.Inc()
 			res.Status = GapWitnessed
-			res.Witness = &Witness{
-				Schedule:      s,
-				Reason:        reason,
-				Expected:      oracle.Output,
-				Actual:        out.Output,
-				ExpectedState: oracle.State,
-				ActualState:   out.State,
-				Err:           out.Err,
-				Yields:        out.Yields,
-				Trace:         out.Trace,
-			}
+			res.Witness = newWitness(s, reason, oracle, out)
 			return res, nil
 		}
 	}

@@ -92,7 +92,7 @@ type RepairStats struct {
 	WorkRepaired int64 `json:"work_repaired"`
 	// Metrics is the delta of the process metrics registry over this
 	// benchmark's run: detector, placement, scheduler, and taskpar
-	// counters (stage-level breakdown for BENCH_*.json entries).
+	// counters (the stage-level breakdown of hjbench -table 2 -json).
 	Metrics []obs.Sample `json:"metrics,omitempty"`
 	// Stages summarizes the per-call latency distribution of each
 	// pipeline stage over this run (from the *_ns histogram deltas in

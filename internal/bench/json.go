@@ -9,8 +9,7 @@ import (
 
 // WriteRepairJSON marshals repair-mode stats as indented JSON — the
 // machine-readable form of Table 2, carrying the stage-level breakdown
-// (phase timings, DP states, races per iteration, metrics deltas) for
-// BENCH_*.json entries.
+// (phase timings, DP states, races per iteration, metrics deltas).
 func WriteRepairJSON(w io.Writer, stats []*RepairStats) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

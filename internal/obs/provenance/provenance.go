@@ -5,10 +5,12 @@
 // import cycles.
 //
 // One Explain document covers one hjrepair run: per repair iteration it
-// records the detected race pairs, their NS-LCA groups, and for each
-// group the DP placement decision (candidate vertices considered, the
-// chosen finish range, DP states explored, fallback or not), plus the
-// critical-path metrics before the first repair and after the last.
+// records the NS-LCA groups of the detected races, each race in its one
+// group, and for each group the DP placement decision (candidate
+// vertices considered, the chosen finish ranges, DP states explored,
+// fallback or not), plus the critical-path metrics before the first
+// repair and after the last. Each fact is stored once: a finish entry
+// names the groups that chose its scope instead of copying them.
 package provenance
 
 import (
@@ -70,8 +72,8 @@ type Group struct {
 	LCA        Node       `json:"lca"`
 	Races      []RacePair `json:"races"`
 	Candidates []Node     `json:"candidates,omitempty"`
-	// Chosen lists the finish blocks the DP selected for this group (the
-	// optimal partition may need more than one).
+	// Chosen lists the scopes the placement selected for this group, each
+	// once (the optimal partition may need more than one).
 	Chosen   []Finish `json:"chosen,omitempty"`
 	DPStates int64    `json:"dp_states"`
 	Vertices int      `json:"vertices,omitempty"`
@@ -96,32 +98,25 @@ type Group struct {
 	CommuteProbe  string `json:"commute_probe,omitempty"`
 }
 
-// Iteration is one round of the detect → group → place loop.
+// Iteration is one round of the detect → group → place loop. The
+// round's races live in its groups: every race has exactly one NS-LCA,
+// so the groups partition them.
 type Iteration struct {
-	N      int        `json:"n"`
-	Races  []RacePair `json:"races"`
-	Groups []Group    `json:"groups"`
-	CPL    *CPL       `json:"cpl,omitempty"` // tree CPL at the start of this round
+	N      int     `json:"n"`
+	Groups []Group `json:"groups"`
+	CPL    *CPL    `json:"cpl,omitempty"` // tree CPL at the start of this round
 }
 
-// FinishEntry is the flattened per-placed-finish view (one entry per
-// finish the repair inserted), which is what the acceptance criterion
-// and hjreport's timeline consume.
+// FinishEntry is one scope a round inserted, which is what hjreport's
+// timeline consumes. Groups indexes, into the round's Groups, the
+// groups that chose the scope: their races, NS-LCA, DP effort and
+// strategy are the reasons for it (Explain.GroupsOf resolves them).
 type FinishEntry struct {
-	Iteration int        `json:"iteration"`
-	Finish    Finish     `json:"finish"`
-	LCA       Node       `json:"lca"`
-	Races     []RacePair `json:"races"`
-	DPStates  int64      `json:"dp_states"`
-	Fallback  bool       `json:"fallback,omitempty"`
-	CPLBefore CPL        `json:"cpl_before"`
-	CPLAfter  CPL        `json:"cpl_after"`
-	// Strategy/StrategyWhy/CommuteFamily/CommuteProbe mirror the owning
-	// group's strategy choice and commutativity evidence.
-	Strategy      string `json:"strategy,omitempty"`
-	StrategyWhy   string `json:"strategy_why,omitempty"`
-	CommuteFamily string `json:"commute_family,omitempty"`
-	CommuteProbe  string `json:"commute_probe,omitempty"`
+	Iteration int    `json:"iteration"`
+	Finish    Finish `json:"finish"`
+	Groups    []int  `json:"groups"`
+	CPLBefore CPL    `json:"cpl_before"`
+	CPLAfter  CPL    `json:"cpl_after"`
 }
 
 // WitnessRec is one replayed race witness: the schedule under which the
@@ -173,9 +168,9 @@ type GapVerdictRec struct {
 type Explain struct {
 	Program    string      `json:"program,omitempty"`
 	Detector   string      `json:"detector,omitempty"` // "espbags", "vc", ...
-	Engine     string      `json:"engine,omitempty"`   // "replay", the only repair loop
 	Iterations []Iteration `json:"iterations"`
-	// Finishes is derived by Finalize: one entry per applied placement.
+	// Finishes is derived by Finalize: one entry per scope a round
+	// inserted.
 	Finishes  []FinishEntry `json:"finishes"`
 	CPLBefore CPL           `json:"cpl_before"`
 	CPLAfter  CPL           `json:"cpl_after"`
@@ -193,11 +188,13 @@ type Explain struct {
 	GapVerdicts []GapVerdictRec `json:"gap_verdicts,omitempty"`
 }
 
-// Finalize derives the flattened Finishes list and the run-level CPL
-// before/after from the recorded iterations. Each applied group becomes
-// one FinishEntry whose CPLBefore is its iteration's tree CPL and whose
-// CPLAfter is the next iteration's (the run-final CPL for the last
-// round) — i.e. the critical-path cost of exactly that round's fixes.
+// Finalize derives the Finishes list and the run-level CPL before/after
+// from the recorded iterations. Each distinct scope the applied groups
+// of a round chose becomes one FinishEntry, in the order the round
+// committed them, naming every group that chose it. Its CPLBefore is
+// its iteration's tree CPL and its CPLAfter the next iteration's (the
+// run-final CPL for the last round) — i.e. the critical-path cost of
+// exactly that round's fixes.
 func (e *Explain) Finalize() {
 	e.Finishes = e.Finishes[:0]
 	if len(e.Iterations) == 0 {
@@ -218,28 +215,49 @@ func (e *Explain) Finalize() {
 		if idx+1 < len(e.Iterations) && e.Iterations[idx+1].CPL != nil {
 			after = *e.Iterations[idx+1].CPL
 		}
-		for _, g := range it.Groups {
+		entry := make(map[Finish]int)
+		for gi, g := range it.Groups {
 			if !g.Applied {
 				continue
 			}
 			for _, f := range g.Chosen {
-				e.Finishes = append(e.Finishes, FinishEntry{
-					Iteration:     it.N,
-					Finish:        f,
-					LCA:           g.LCA,
-					Races:         g.Races,
-					DPStates:      g.DPStates,
-					Fallback:      g.Fallback,
-					CPLBefore:     before,
-					CPLAfter:      after,
-					Strategy:      g.Strategy,
-					StrategyWhy:   g.StrategyWhy,
-					CommuteFamily: g.CommuteFamily,
-					CommuteProbe:  g.CommuteProbe,
-				})
+				k, ok := entry[f]
+				if !ok {
+					entry[f] = len(e.Finishes)
+					e.Finishes = append(e.Finishes, FinishEntry{
+						Iteration: it.N,
+						Finish:    f,
+						Groups:    []int{gi},
+						CPLBefore: before,
+						CPLAfter:  after,
+					})
+					continue
+				}
+				if gs := e.Finishes[k].Groups; gs[len(gs)-1] != gi {
+					e.Finishes[k].Groups = append(gs, gi)
+				}
 			}
 		}
 	}
+}
+
+// GroupsOf returns the groups that chose entry f, from its round's
+// record.
+func (e *Explain) GroupsOf(f FinishEntry) []*Group {
+	for i := range e.Iterations {
+		it := &e.Iterations[i]
+		if it.N != f.Iteration {
+			continue
+		}
+		gs := make([]*Group, 0, len(f.Groups))
+		for _, gi := range f.Groups {
+			if gi >= 0 && gi < len(it.Groups) {
+				gs = append(gs, &it.Groups[gi])
+			}
+		}
+		return gs
+	}
+	return nil
 }
 
 // WriteJSON writes the document as indented JSON.
@@ -264,8 +282,8 @@ func (e *Explain) WriteText(w io.Writer) error {
 	if e.Program != "" {
 		fmt.Fprintf(w, "program: %s\n", e.Program)
 	}
-	if e.Detector != "" || e.Engine != "" {
-		fmt.Fprintf(w, "detector: %s (engine: %s)\n", e.Detector, e.Engine)
+	if e.Detector != "" {
+		fmt.Fprintf(w, "detector: %s\n", e.Detector)
 	}
 	fmt.Fprintf(w, "critical path: work %d span %d (parallelism %.2f) -> work %d span %d (parallelism %.2f)\n",
 		e.CPLBefore.Work, e.CPLBefore.Span, e.CPLBefore.Parallelism(),
@@ -273,33 +291,31 @@ func (e *Explain) WriteText(w io.Writer) error {
 	if len(e.Finishes) == 0 {
 		fmt.Fprintln(w, "no finishes inserted (program already race-free or repair degraded)")
 	}
+	// listed names the block that printed each group's races, so every
+	// race is printed once even when its group chose several scopes.
+	listed := make(map[*Group]string)
 	for i, f := range e.Finishes {
 		kind := f.Finish.Kind
 		if kind == "" {
 			kind = "finish"
 		}
-		fmt.Fprintf(w, "\n%s %d (iteration %d): wrap statements %d..%d at %s\n",
-			kind, i+1, f.Iteration, f.Finish.Lo, f.Finish.Hi, orUnknown(f.Finish.Pos))
-		fmt.Fprintf(w, "  why: %d race(s) share NS-LCA %s node #%d at %s\n",
-			len(f.Races), f.LCA.Kind, f.LCA.ID, orUnknown(f.LCA.Pos))
-		if f.Strategy != "" {
-			fmt.Fprintf(w, "  strategy: %s (%s)\n", f.Strategy, f.StrategyWhy)
+		block := fmt.Sprintf("%s %d", kind, i+1)
+		fmt.Fprintf(w, "\n%s (iteration %d): wrap statements %d..%d at %s\n",
+			block, f.Iteration, f.Finish.Lo, f.Finish.Hi, orUnknown(f.Finish.Pos))
+		span := fmt.Sprintf("span %d -> %d", f.CPLBefore.Span, f.CPLAfter.Span)
+		gs := e.GroupsOf(f)
+		if len(gs) == 1 {
+			fmt.Fprintf(w, "  why: %s\n", gs[0].why())
+			writeGroup(w, "  ", gs[0], listed, block)
+			fmt.Fprintf(w, "  how: %s; %s\n", gs[0].how(), span)
+			continue
 		}
-		if f.CommuteFamily != "" {
-			fmt.Fprintf(w, "  commute: family %s, probe %s\n", f.CommuteFamily, f.CommuteProbe)
+		fmt.Fprintf(w, "  why: %d NS-LCA groups chose it\n", len(gs))
+		for _, g := range gs {
+			fmt.Fprintf(w, "  - %s; %s\n", g.why(), g.how())
+			writeGroup(w, "    ", g, listed, block)
 		}
-		for _, r := range f.Races {
-			fmt.Fprintf(w, "    race on %s: %s vs %s", r.Loc, orUnknown(r.First.Pos), orUnknown(r.Second.Pos))
-			if r.Kind != "" {
-				fmt.Fprintf(w, " (%s)", r.Kind)
-			}
-			fmt.Fprintln(w)
-		}
-		how := fmt.Sprintf("DP explored %d states", f.DPStates)
-		if f.Fallback {
-			how = "fallback placement (DP budget exceeded; widest safe range)"
-		}
-		fmt.Fprintf(w, "  how: %s; span %d -> %d\n", how, f.CPLBefore.Span, f.CPLAfter.Span)
+		fmt.Fprintf(w, "  how: %s\n", span)
 	}
 	if e.Degraded != "" {
 		fmt.Fprintf(w, "\ndegraded: %s\n", e.Degraded)
@@ -334,6 +350,43 @@ func (e *Explain) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// why says which races the group holds and where their NS-LCA is.
+func (g *Group) why() string {
+	return fmt.Sprintf("%d race(s) share NS-LCA %s node #%d at %s",
+		len(g.Races), g.LCA.Kind, g.LCA.ID, orUnknown(g.LCA.Pos))
+}
+
+// how says how the group's placement was computed.
+func (g *Group) how() string {
+	if g.Fallback {
+		return "fallback placement (DP budget exceeded; widest safe range)"
+	}
+	return fmt.Sprintf("DP explored %d states", g.DPStates)
+}
+
+// writeGroup prints the group's strategy choice and commutativity
+// evidence, and its races unless an earlier block listed them.
+func writeGroup(w io.Writer, indent string, g *Group, listed map[*Group]string, block string) {
+	if g.Strategy != "" {
+		fmt.Fprintf(w, "%sstrategy: %s (%s)\n", indent, g.Strategy, g.StrategyWhy)
+	}
+	if g.CommuteFamily != "" {
+		fmt.Fprintf(w, "%scommute: family %s, probe %s\n", indent, g.CommuteFamily, g.CommuteProbe)
+	}
+	if at, ok := listed[g]; ok {
+		fmt.Fprintf(w, "%s  races listed under %s\n", indent, at)
+		return
+	}
+	listed[g] = block
+	for _, r := range g.Races {
+		fmt.Fprintf(w, "%s  race on %s: %s vs %s", indent, r.Loc, orUnknown(r.First.Pos), orUnknown(r.Second.Pos))
+		if r.Kind != "" {
+			fmt.Fprintf(w, " (%s)", r.Kind)
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 func writeWitness(w io.Writer, indent string, wr *WitnessRec) {

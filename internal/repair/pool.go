@@ -2,6 +2,7 @@ package repair
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -172,8 +173,11 @@ func placeGroups(groups []*group, m *guard.Meter, workers int, span *obs.Span, s
 		}
 		if selector != nil && len(r.ps) > 0 {
 			r.ps, o.choice = selector(groups[i], r.ps)
-			o.ps = r.ps
 		}
+		// The DP maps every dynamic finish block to a static range, so the
+		// instances of a loop body collapse onto one placement.
+		r.ps = uniquePlacements(r.ps)
+		o.ps = r.ps
 		conflict := false
 		for _, p := range r.ps {
 			if !chosen[p] && overlaps(p) {
@@ -198,4 +202,17 @@ func placeGroups(groups []*group, m *guard.Meter, workers int, span *obs.Span, s
 		return nil, outcomes, states, degradedReason, err
 	}
 	return placements, outcomes, states, degradedReason, nil
+}
+
+// uniquePlacements drops repeated placements in place, keeping each
+// first occurrence in order. The distinct placements are static ranges,
+// so the scan of out stays short.
+func uniquePlacements(ps []Placement) []Placement {
+	out := ps[:0]
+	for _, p := range ps {
+		if !slices.Contains(out, p) {
+			out = append(out, p)
+		}
+	}
+	return out
 }

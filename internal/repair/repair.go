@@ -78,10 +78,10 @@ type Options struct {
 	// actually exercised (the coverage-gap report of hjrepair -vet).
 	OnRaces func([]*race.Race)
 	// Explain, when non-nil, receives the structured provenance of the
-	// repair: per iteration, the detected race pairs, their NS-LCA
-	// groups, the DP placement decisions, and the tree's critical path.
-	// Recording costs one cpl.Analyze per round plus the conversion of
-	// races/groups to their provenance form; leave nil on hot paths.
+	// repair: per iteration, the NS-LCA groups with their races and DP
+	// placement decisions, and the tree's critical path. Recording costs
+	// one cpl.Analyze per round plus the conversion of groups to their
+	// provenance form; leave nil on hot paths.
 	Explain *provenance.Explain
 	// Strategy selects how race groups are eliminated: finish insertion
 	// (the zero value — the paper's repair and the library default),
@@ -103,21 +103,27 @@ type AppliedRange struct {
 
 // Iteration records one detect/place/rewrite round.
 type Iteration struct {
-	Races      int
-	NSLCAs     int
+	// Races found by this round's detection run (0 in the final,
+	// race-free confirmation round).
+	Races int
+	// NSLCAs is the number of race groups (distinct non-scope LCAs).
+	NSLCAs int
+	// Placements counts the scopes this round added to the accumulated
+	// scope set.
 	Placements int
+	// SDPSTNodes is the size of this round's S-DPST.
 	SDPSTNodes int
 	// DPStates counts the dynamic-programming states explored by this
 	// round's finish placements.
 	DPStates int64
-	// Applied lists the finish insertions of this iteration in
-	// application order, for Replay.
+	// Applied lists, on the last iteration only, every scope insertion
+	// of the repair in application order, for Replay.
 	Applied []AppliedRange
-	// DetectTime covers the instrumented execution (data race detection
-	// and S-DPST construction); RepairTime covers trace I/O, dynamic and
-	// static finish placement, and the AST rewrite. PlaceTime and
+	// DetectTime covers the detection round (the capture in round 0,
+	// then the replay and race analysis); RepairTime covers trace I/O,
+	// the NS-LCA grouping, the placement and the rewrite. PlaceTime and
 	// RewriteTime break RepairTime down into the grouping+DP phase and
-	// the AST rewrite phase.
+	// the rewrite phase.
 	DetectTime  time.Duration
 	RepairTime  time.Duration
 	PlaceTime   time.Duration
@@ -451,7 +457,7 @@ func RepairChecked(info *sem.Info, opts Options) (*Report, error) {
 		it.PlaceTime = time.Since(tPlace)
 		mStagePlaceNs.Observe(it.PlaceTime.Nanoseconds())
 		if opts.Explain != nil {
-			pit := provenance.Iteration{N: iter, Races: provRaces(races), CPL: provCPL(rr.Tree)}
+			pit := provenance.Iteration{N: iter, CPL: provCPL(rr.Tree)}
 			for _, o := range outcomes {
 				pit.Groups = append(pit.Groups, provGroup(o))
 			}

@@ -9,6 +9,7 @@ import (
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/printer"
 	"finishrepair/internal/lang/sem"
+	"finishrepair/internal/obs/provenance"
 	"finishrepair/internal/race"
 	"finishrepair/internal/repair"
 )
@@ -245,5 +246,48 @@ func TestRepairFig5Scoping(t *testing.T) {
 	// The output after repair must be the serial elision's.
 	if rep.Output != "5\n" {
 		t.Errorf("output %q, want \"5\\n\"", rep.Output)
+	}
+}
+
+// loopBodySrc races each iteration's async with the print after it, so
+// one NS-LCA group (the root: the loop and its iterations are scopes)
+// needs a finish around the async of every iteration, and all three
+// dynamic finish blocks map to one range of the loop body.
+const loopBodySrc = `
+var x = 0;
+
+func main() {
+    for (var k = 0; k < 3; k = k + 1) {
+        async { x = x + 1; }
+        println(x);
+    }
+}
+`
+
+func TestRepairLoopBodyChosenOnce(t *testing.T) {
+	var ex provenance.Explain
+	prog, rep := repairAndVerify(t, loopBodySrc, repair.Options{Explain: &ex})
+	if rep.Inserted != 1 {
+		t.Fatalf("inserted %d scopes, want 1:\n%s", rep.Inserted, printer.Print(prog))
+	}
+	groups := 0
+	for _, it := range ex.Iterations {
+		for _, g := range it.Groups {
+			groups++
+			seen := make(map[provenance.Finish]bool)
+			for _, f := range g.Chosen {
+				if seen[f] {
+					t.Errorf("iteration %d: group at NS-LCA %+v lists %+v twice: %+v", it.N, g.LCA, f, g.Chosen)
+				}
+				seen[f] = true
+			}
+		}
+	}
+	if groups != 1 {
+		t.Errorf("%d groups, want the one at the root", groups)
+	}
+	ex.Finalize()
+	if len(ex.Finishes) != 1 {
+		t.Errorf("%d finish entries, want 1", len(ex.Finishes))
 	}
 }

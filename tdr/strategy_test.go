@@ -123,8 +123,10 @@ func TestRepairStrategyAutoIsolatedAdversaryVerified(t *testing.T) {
 	}
 	found := false
 	for _, f := range repAuto.Explain.Finishes {
-		if f.Strategy == "isolated" && f.Finish.Kind == "isolated" && f.StrategyWhy != "" {
-			found = true
+		for _, g := range repAuto.Explain.GroupsOf(f) {
+			if g.Strategy == "isolated" && f.Finish.Kind == "isolated" && g.StrategyWhy != "" {
+				found = true
+			}
 		}
 	}
 	if !found {

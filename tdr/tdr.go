@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"finishrepair/internal/adversary"
 	"finishrepair/internal/analysis"
@@ -314,8 +313,8 @@ type RepairOptions struct {
 	// reach.
 	Vet bool
 	// Explain records the structured provenance of the repair — per
-	// iteration: detected race pairs, NS-LCA groups, DP placement
-	// decisions, and critical-path length — in RepairReport.Explain
+	// iteration: the NS-LCA groups with their race pairs and DP placement
+	// decisions, and the critical-path length — in RepairReport.Explain
 	// (hjrepair's -explain flag). Costs one CPL analysis per round.
 	Explain bool
 	// Witness replays every reported race under deterministic
@@ -346,25 +345,7 @@ type RepairOptions struct {
 type Explain = provenance.Explain
 
 // IterationReport details one detect/place/rewrite round.
-type IterationReport struct {
-	// Races found by this round's detection run (0 in the final,
-	// race-free confirmation round).
-	Races int
-	// FinishesInserted counts the finish statements this round added.
-	FinishesInserted int
-	// NSLCAs is the number of race groups (distinct non-scope LCAs).
-	NSLCAs int
-	// SDPSTNodes is the size of this round's S-DPST.
-	SDPSTNodes int
-	// DPStates counts dynamic-programming states explored by the
-	// placement phase.
-	DPStates int64
-	// DetectTime covers the instrumented detection run; PlaceTime the
-	// NS-LCA grouping plus DP placement; RewriteTime the AST rewrite.
-	DetectTime  time.Duration
-	PlaceTime   time.Duration
-	RewriteTime time.Duration
-}
+type IterationReport = repair.Iteration
 
 // RepairReport summarizes a repair.
 type RepairReport struct {
@@ -396,8 +377,9 @@ type RepairReport struct {
 	// these pairs are where other inputs could still race.
 	CoverageGaps []CoverageGap
 	// Explain is the finalized provenance record (RepairOptions.Explain
-	// only): one entry per placed finish with its races, NS-LCA, DP
-	// effort, and CPL before/after.
+	// only): per round, the NS-LCA groups with their races and DP effort,
+	// and one entry per inserted scope naming the groups that chose it,
+	// with its CPL before/after.
 	Explain *Explain
 	// Witnesses replays each reported race to a concrete divergence
 	// (RepairOptions.Witness only): one entry per race a deterministic
@@ -523,10 +505,7 @@ func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairRep
 	}
 	var ex *provenance.Explain
 	if opts.Explain {
-		ex = &provenance.Explain{
-			Detector: opts.Engine.String(),
-			Engine:   "replay",
-		}
+		ex = &provenance.Explain{Detector: opts.Engine.String()}
 		ropts.Explain = ex
 	}
 
@@ -592,18 +571,9 @@ func convertReport(rep *repair.Report) *RepairReport {
 		Output:           rep.Output,
 		Degraded:         rep.Degraded,
 		DegradedReason:   rep.DegradedReason,
+		PerIteration:     rep.Iterations,
 	}
 	for _, it := range rep.Iterations {
-		out.PerIteration = append(out.PerIteration, IterationReport{
-			Races:            it.Races,
-			FinishesInserted: it.Placements,
-			NSLCAs:           it.NSLCAs,
-			SDPSTNodes:       it.SDPSTNodes,
-			DPStates:         it.DPStates,
-			DetectTime:       it.DetectTime,
-			PlaceTime:        it.PlaceTime,
-			RewriteTime:      it.RewriteTime,
-		})
 		for _, a := range it.Applied {
 			if a.Kind == trace.RangeIsolated {
 				out.IsolatedInserted++
