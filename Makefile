@@ -69,16 +69,18 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/lang/parser
 	$(GO) test -fuzz=FuzzRepairRoundTrip -fuzztime=20s ./tdr
 
-# Adversarial replay smoke: repair every bundled example with witness
-# generation and K-schedule verification, writing the witness-bearing
-# explain documents (JSON artifacts) under reports/. A repaired example
-# that diverges under any adversarial schedule fails the build (exit 7).
-# The first loop pins -strategy finish (the pre-strategy behavior); the
-# second sweeps -strategy auto under K=16 adversarial schedules and
+# Adversarial replay smoke: repair every bundled example, plus
+# buggy_fib.hj (465 races in 233 NS-LCA groups, 4 static races), with
+# witness generation (one witness per static race) and K-schedule
+# verification, writing the witness-bearing explain documents (JSON
+# artifacts) under reports/. A repaired program that diverges under any
+# adversarial schedule fails the build (exit 7). The first loop pins
+# -strategy finish (the pre-strategy behavior); the second sweeps the
+# examples with -strategy auto under K=16 adversarial schedules and
 # archives the per-group strategy choices as reports/*.strategy.json.
 adversary:
 	@mkdir -p reports
-	@for f in examples/hj/*.hj; do \
+	@for f in examples/hj/*.hj testdata/buggy_fib.hj; do \
 		n=$$(basename $$f .hj); \
 		echo "adversary $$f -> reports/$$n.witness.json"; \
 		$(GO) run ./cmd/hjrepair -quiet -witness -vet -strategy finish -sched-seed 1 \

@@ -17,7 +17,9 @@ import (
 	"testing"
 	"time"
 
+	"finishrepair/internal/bench"
 	"finishrepair/internal/obs"
+	"finishrepair/tdr"
 )
 
 var bins = map[string]string{}
@@ -503,6 +505,106 @@ func TestHjrepairWitness(t *testing.T) {
 			t.Errorf("explain JSON missing %s", want)
 		}
 	}
+}
+
+// writeStripped writes the named Table-1 benchmark at its repair size,
+// finishes stripped, to a temp file and returns its path.
+func writeStripped(t *testing.T, name string) string {
+	t.Helper()
+	for _, b := range bench.All() {
+		if b.Name != name {
+			continue
+		}
+		p, err := tdr.Load(b.Src(b.RepairSize))
+		if err != nil {
+			t.Fatalf("load %s: %v", name, err)
+		}
+		p.StripFinishes()
+		return writeProg(t, "stripped.hj", p.Source())
+	}
+	t.Fatalf("no benchmark %q", name)
+	return ""
+}
+
+// TestHjrepairWitnessPerClass: -witness searches once per static race.
+// Finish-stripped SOR has 20,580 races in 3 static races, so it prints
+// 3 witness lines, whose race counts add up to the summary's, and its
+// witness-search span reports 3 targets. The timeout fails a search
+// that runs per racing location again.
+func TestHjrepairWitnessPerClass(t *testing.T) {
+	jsonl := filepath.Join(t.TempDir(), "run.jsonl")
+	_, stderr, code := runTool(t, "hjrepair", "-vet", "-witness", "-sched-seed", "1", "-timeout", "60s",
+		"-jsonl", jsonl, "-o", filepath.Join(t.TempDir(), "out.hj"), writeStripped(t, "SOR"))
+	if code != 0 {
+		t.Fatalf("exit = %d; stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stderr, "hjrepair: 20580 race(s) found") {
+		t.Errorf("summary does not report SOR's 20580 races: %s", stderr)
+	}
+	lines := regexp.MustCompile(`(?m)^hjrepair: witness: .* \((\d+) race\(s\)\) under `).FindAllStringSubmatch(stderr, -1)
+	races := 0
+	for _, m := range lines {
+		n, _ := strconv.Atoi(m[1])
+		races += n
+	}
+	if len(lines) != 3 || races != 20580 {
+		t.Errorf("%d witness lines for %d races, want 3 for 20580:\n%s", len(lines), races, stderr)
+	}
+	f, err := os.Open(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, _, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := int64(-1)
+	for _, r := range recs {
+		for _, a := range r.Attrs {
+			if r.Name == "witness-search" && a.Key == "targets" {
+				targets = a.Int
+			}
+		}
+	}
+	if targets != 3 {
+		t.Errorf("witness-search span reports %d targets, want 3", targets)
+	}
+}
+
+// TestNegativeNumericFlagsAreUsageErrors: a negative count, bound or
+// timeout is a usage error (exit 2) naming the flag, not a silent
+// default or an empty run.
+func TestNegativeNumericFlagsAreUsageErrors(t *testing.T) {
+	prog := "../testdata/buggy_fib.hj"
+	for _, c := range []struct {
+		tool, flag, value string
+		rest              []string
+	}{
+		{"hjrepair", "-max-iter", "-1", []string{prog}},
+		{"hjrepair", "-j", "-2", []string{prog}},
+		{"hjrepair", "-adversary", "-3", []string{prog}},
+		{"hjrepair", "-max-dp-states", "-1", []string{prog}},
+		{"hjrepair", "-timeout", "-1s", []string{prog}},
+		{"hjrun", "-workers", "-1", []string{prog}},
+		{"hjrun", "-adversary", "-3", []string{"-mode", "stress", prog}},
+		{"hjrun", "-timeout", "-1s", []string{prog}},
+		{"hjbench", "-runs", "-2", []string{"-fig", "16"}},
+		{"hjbench", "-j", "-1", []string{"-fig", "4"}},
+		{"hjbench", "-timeout", "-1s", []string{"-fig", "4"}},
+	} {
+		args := append([]string{c.flag, c.value}, c.rest...)
+		stdout, stderr, code := runTool(t, c.tool, args...)
+		if code != 2 || !strings.Contains(stderr, c.flag+" must not be negative") || stdout != "" {
+			t.Errorf("%s %v: exit %d, stdout %q, stderr %q; want exit 2 naming %s and no output",
+				c.tool, args, code, stdout, firstLine(stderr), c.flag)
+		}
+	}
+}
+
+func firstLine(s string) string {
+	line, _, _ := strings.Cut(s, "\n")
+	return line
 }
 
 // TestHjrepairWitnessedUnrepairedExitCode: running out of iterations

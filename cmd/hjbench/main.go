@@ -21,12 +21,16 @@
 // in-flight scrapes gracefully on exit. -sample FILE appends a
 // metrics-registry snapshot to FILE as one JSONL line every
 // -sample-interval, giving a coarse time series over a long run.
+//
+// A negative -j, -runs or -timeout exits 2, as does a run that selects
+// nothing.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"finishrepair/internal/bench"
@@ -53,6 +57,16 @@ func main() {
 	sampleFile := flag.String("sample", "", "append periodic metrics-registry snapshots to this JSONL file")
 	sampleEvery := flag.Duration("sample-interval", time.Second, "interval between -sample snapshots")
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "j", "runs", "timeout":
+			if strings.HasPrefix(f.Value.String(), "-") {
+				fmt.Fprintf(os.Stderr, "hjbench: -%s must not be negative\n", f.Name)
+				flag.PrintDefaults()
+				os.Exit(2)
+			}
+		}
+	})
 
 	if *debugAddr != "" {
 		addr, srv, err := obs.ServeDebug(*debugAddr)

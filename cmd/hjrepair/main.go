@@ -54,30 +54,35 @@
 // prints the span tree to stderr.
 //
 // Provenance: -explain out.json records WHY each finish landed where it
-// did — per repair iteration, the NS-LCA groups with their race pairs
-// and DP placement decisions (candidates, chosen ranges, states
-// explored), one entry per inserted scope naming the groups that chose
-// it, and the critical-path length before/after — as a JSON document
-// hjreport can render. With -v the same record is also summarized as
-// human-readable "why this finish" text on stderr.
+// did — per repair iteration, the NS-LCA groups with their static race
+// classes (a race kind between a source and a sink statement, with its
+// dynamic-race count and first locations) and DP placement decisions
+// (candidates, chosen ranges, states explored), one entry per inserted
+// scope naming the groups that chose it, and the critical-path length
+// before/after — as a compact JSON document hjreport can render. With
+// -v the same record is also summarized as human-readable "why this
+// finish" text on stderr, one line per race class.
 //
-// Adversarial replay: -witness replays each reported race on the
-// original program under deterministic race-directed schedules until it
-// observably diverges from the serial oracle, printing the witness
-// (schedule, expected vs actual output/state) on stderr and recording it
-// in the -explain document; with -vet the coverage gaps are additionally
-// driven by position-directed schedules and each gets a verdict
-// (witnessed / unreachable / no-divergence). -adversary K re-executes
-// the repaired program under K adversarial schedules (race-directed plus
-// seeded random-priority; -witness alone implies K=16) and fails with
-// exit 7 if any diverges from the serial oracle. -sched-seed makes the
+// Adversarial replay: -witness replays each static race (a race kind
+// between a source and a sink statement) on the original program under
+// deterministic race-directed schedules aimed at its first locations,
+// then seeded random-priority schedules, until it observably diverges
+// from the serial oracle, printing one witness per static race (its
+// dynamic-race count, the schedule, expected vs actual output/state) on
+// stderr and recording it in the -explain document; with -vet the
+// coverage gaps are additionally driven by position-directed schedules
+// and each gets a verdict (witnessed / unreachable / no-divergence).
+// Each distinct schedule runs at most once per search. -adversary K
+// re-executes the repaired program under K adversarial schedules
+// (race-directed plus seeded random-priority; -witness alone implies
+// K=16) and fails with exit 7 if any diverges from the serial oracle. -sched-seed makes the
 // seeded schedules reproducible: same program, flags, and seed — same
 // schedules, same witnesses, bit-identical output.
 //
-// Exit codes: 0 repaired (or already race-free), 1 error, 2 usage,
-// 3 the iteration bound was exhausted with races remaining, 4 a
-// resource budget (wall clock, ops, DP states) was exhausted or the run
-// was canceled, 5 the ESP-Bags and vector-clock oracles disagreed on an
+// Exit codes: 0 repaired (or already race-free), 1 error, 2 usage (no
+// program, or a negative count, bound or timeout), 3 the iteration
+// bound was exhausted with races remaining, 4 a resource budget (wall
+// clock, ops, DP states) was exhausted or the run was canceled, 5 the ESP-Bags and vector-clock oracles disagreed on an
 // ordering query (-detector both), 7 adversarial replay found a
 // divergence that survives the repair: the verification diverged, or
 // the iteration bound was exhausted with at least one witnessed race.
@@ -125,16 +130,22 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the metrics snapshot to stderr")
 	verbose := flag.Bool("v", false, "print the phase span tree to stderr")
 	vet := flag.Bool("vet", false, "run the static analyzer and report race candidates the test input never exercised (coverage gaps) on stderr")
-	explainFile := flag.String("explain", "", "write the repair-provenance record (race pairs, NS-LCA groups, DP decisions, CPL before/after) as JSON to this file; with -v also summarize it on stderr")
-	witness := flag.Bool("witness", false, "replay each reported race under deterministic adversarial schedules to a concrete divergence witness; with -vet also drive the coverage gaps to a verdict")
+	explainFile := flag.String("explain", "", "write the repair-provenance record (NS-LCA groups with their static race classes, DP decisions, CPL before/after) as JSON to this file; with -v also summarize it on stderr")
+	witness := flag.Bool("witness", false, "replay each static race (race kind, source and sink statement) under deterministic adversarial schedules to a concrete divergence witness; with -vet also drive the coverage gaps to a verdict")
 	adversary := flag.Int("adversary", 0, "verify the repaired program under this many adversarial schedules, exit 7 on any divergence from the serial oracle (0 with -witness = 16)")
 	schedSeed := flag.Int64("sched-seed", 0, "seed for the random-priority adversarial schedules; runs with the same program, flags, and seed are bit-identical")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: hjrepair [flags] program.hj")
-		flag.PrintDefaults()
-		os.Exit(2)
+		usage("")
 	}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "j", "max-iter", "timeout", "max-dp-states", "adversary":
+			if strings.HasPrefix(f.Value.String(), "-") {
+				usage(fmt.Sprintf("-%s must not be negative", f.Name))
+			}
+		}
+	})
 
 	var tracer *obs.Tracer
 	if *traceFile != "" || *jsonlFile != "" || *verbose {
@@ -326,15 +337,16 @@ func vetReport(rep *tdr.RepairReport) {
 	}
 }
 
-// adversaryReport prints the -witness/-adversary results: each race's
-// replayed witness, the gap-search verdicts, and the verification tally.
+// adversaryReport prints the -witness/-adversary results: each static
+// race's replayed witness, the gap-search verdicts, and the verification
+// tally.
 func adversaryReport(rep *tdr.RepairReport) {
 	if rep == nil {
 		return
 	}
 	for _, w := range rep.Witnesses {
 		fmt.Fprintf(os.Stderr, "hjrepair: witness: %s under %s: %s (expected %q got %q)\n",
-			w.Race, w.Schedule, w.Reason, w.Expected, w.Actual)
+			w.Subject(), w.Schedule, w.Reason, w.Expected, w.Actual)
 	}
 	for _, g := range rep.GapVerdicts {
 		line := fmt.Sprintf("hjrepair: gap %s: %s", g.Status, g.Gap)
@@ -352,4 +364,14 @@ func adversaryReport(rep *tdr.RepairReport) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "hjrepair:", err)
 	os.Exit(1)
+}
+
+// usage reports a misuse, if any, and the flags, and exits 2.
+func usage(problem string) {
+	if problem != "" {
+		fmt.Fprintln(os.Stderr, "hjrepair:", problem)
+	}
+	fmt.Fprintln(os.Stderr, "usage: hjrepair [flags] program.hj")
+	flag.PrintDefaults()
+	os.Exit(2)
 }

@@ -11,7 +11,8 @@
 // At least one of -explain and -jsonl is required; sections whose input
 // is missing are omitted. The report shows the pipeline span flame
 // chart, per-stage latency distributions with p50/p95/p99, the race
-// table grouped by NS-LCA, the finish-placement timeline with the
+// table grouped by NS-LCA (one row per static race class, with its race
+// count and first locations), the finish-placement timeline with the
 // critical-path (CPL) delta of every inserted finish, and the -vet
 // coverage gaps. The HTML embeds all styling and data inline and
 // performs zero network fetches, so it can be archived as a CI artifact

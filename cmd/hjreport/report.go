@@ -125,7 +125,7 @@ func buildExplain(d *reportData, ex *provenance.Explain) {
 	races := 0
 	for _, it := range ex.Iterations {
 		for _, g := range it.Groups {
-			races += len(g.Races)
+			races += g.Races()
 		}
 	}
 	d.Chips = append(d.Chips,
@@ -167,7 +167,7 @@ func buildExplain(d *reportData, ex *provenance.Explain) {
 		if gs := ex.GroupsOf(f); len(gs) > 0 {
 			v.First, v.More = *gs[0], len(gs)-1
 			for _, g := range gs {
-				v.Races += len(g.Races)
+				v.Races += g.Races()
 			}
 		}
 		if v.First.CommuteProbe == "confirmed" {

@@ -13,18 +13,20 @@ import (
 // shared scope's timeline row sums its groups' races and shows the
 // first group's strategy and DP states.
 func TestHjreportChipsCountEveryRound(t *testing.T) {
-	races := func(n int) []provenance.RacePair { return make([]provenance.RacePair, n) }
+	races := func(n int) []provenance.RaceClass {
+		return []provenance.RaceClass{{Kind: "W->W", First: provenance.Node{Kind: "step", Pos: "4:9"}, Races: n, Locs: []uint64{1}}}
+	}
 	shared := provenance.Finish{Pos: "5:9", Lo: 1, Hi: 1}
 	ex := &provenance.Explain{
 		Iterations: []provenance.Iteration{
 			{N: 0, CPL: &provenance.CPL{Work: 40, Span: 10}, Groups: []provenance.Group{
-				{LCA: provenance.Node{ID: 3, Kind: "async"}, Races: races(2), Chosen: []provenance.Finish{shared},
+				{LCA: provenance.Node{ID: 3, Kind: "async"}, Classes: races(2), Chosen: []provenance.Finish{shared},
 					DPStates: 7, Applied: true, Strategy: "finish"},
-				{LCA: provenance.Node{ID: 8, Kind: "async"}, Races: races(1), Chosen: []provenance.Finish{shared},
+				{LCA: provenance.Node{ID: 8, Kind: "async"}, Classes: races(1), Chosen: []provenance.Finish{shared},
 					DPStates: 4, Applied: true, Strategy: "isolated"},
 			}},
 			{N: 1, CPL: &provenance.CPL{Work: 40, Span: 20}, Groups: []provenance.Group{
-				{LCA: provenance.Node{ID: 2, Kind: "finish"}, Races: races(3),
+				{LCA: provenance.Node{ID: 2, Kind: "finish"}, Classes: races(3),
 					Chosen: []provenance.Finish{{Pos: "9:5", Lo: 3, Hi: 3}}, DPStates: 2, Applied: true},
 			}},
 			{N: 2, CPL: &provenance.CPL{Work: 40, Span: 25}},
@@ -54,7 +56,7 @@ func TestHjreportChipsCountEveryRound(t *testing.T) {
 	if err := render(&page, d); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"+1 more group(s)", `<td class="num">3</td>`} {
+	for _, want := range []string{"+1 more group(s)", `<td class="num">3</td>`, `<td><code>loc#1, ...</code></td>`} {
 		if !strings.Contains(page.String(), want) {
 			t.Errorf("report missing %q", want)
 		}

@@ -34,7 +34,8 @@
 // steal counters for -mode par) to stderr, and -v the span tree.
 //
 // -timeout bounds the wall clock of the whole run; exhausting it (or
-// any other resource budget) exits 4.
+// any other resource budget) exits 4. A missing program or a negative
+// -workers, -adversary or -timeout exits 2.
 package main
 
 import (
@@ -43,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"finishrepair/internal/obs"
 	"finishrepair/tdr"
@@ -73,10 +75,16 @@ func main() {
 	verbose := flag.Bool("v", false, "print the phase span tree to stderr")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: hjrun [flags] program.hj")
-		flag.PrintDefaults()
-		os.Exit(2)
+		usage("")
 	}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "workers", "adversary", "timeout":
+			if strings.HasPrefix(f.Value.String(), "-") {
+				usage(fmt.Sprintf("-%s must not be negative", f.Name))
+			}
+		}
+	})
 
 	var tracer *obs.Tracer
 	if *traceFile != "" || *jsonlFile != "" || *verbose {
@@ -223,4 +231,14 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "hjrun:", err)
 	os.Exit(1)
+}
+
+// usage reports a misuse, if any, and the flags, and exits 2.
+func usage(problem string) {
+	if problem != "" {
+		fmt.Fprintln(os.Stderr, "hjrun:", problem)
+	}
+	fmt.Fprintln(os.Stderr, "usage: hjrun [flags] program.hj")
+	flag.PrintDefaults()
+	os.Exit(2)
 }

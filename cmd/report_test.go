@@ -14,8 +14,8 @@ import (
 
 // TestExplainProvenance runs hjrepair -explain end to end and checks
 // the acceptance criterion: one provenance entry per placed finish,
-// each naming groups that carry the race pairs, the NS-LCA node and the
-// DP states explored, and each carrying the CPL before/after.
+// each naming groups that carry the race classes, the NS-LCA node and
+// the DP states explored, and each carrying the CPL before/after.
 func TestExplainProvenance(t *testing.T) {
 	dir := t.TempDir()
 	explain := filepath.Join(dir, "explain.json")
@@ -48,8 +48,8 @@ func TestExplainProvenance(t *testing.T) {
 			t.Errorf("finish %d: names no group", i)
 		}
 		for _, g := range gs {
-			if len(g.Races) == 0 {
-				t.Errorf("finish %d: no race pairs", i)
+			if len(g.Classes) == 0 || g.Races() == 0 {
+				t.Errorf("finish %d: no race classes", i)
 			}
 			if g.LCA.Kind == "" {
 				t.Errorf("finish %d: no NS-LCA node", i)
@@ -194,7 +194,8 @@ func repairBuggyFib(t *testing.T, explain string, flags ...string) (string, *pro
 // TestExplainOneRecordPerFact checks the explain record against the
 // repair it explains: one finish entry per inserted scope, as many as
 // the summary and the dp-place spans' placements count, and every race
-// stored once, in its NS-LCA group, and printed once by -v.
+// counted once, in one race class of its NS-LCA group, each class
+// printed once by -v.
 func TestExplainOneRecordPerFact(t *testing.T) {
 	dir := t.TempDir()
 	jsonl := filepath.Join(dir, "run.jsonl")
@@ -207,15 +208,16 @@ func TestExplainOneRecordPerFact(t *testing.T) {
 		t.Errorf("%d finish entries, want 2 (the inserted finishes)", len(ex.Finishes))
 	}
 
-	races := 0
-	seen := make(map[string]bool)
+	races, classes := 0, 0
 	for _, it := range ex.Iterations {
-		for _, g := range it.Groups {
-			races += len(g.Races)
-			for _, r := range g.Races {
-				key := fmt.Sprint(it.N, r)
+		for gi, g := range it.Groups {
+			races += g.Races()
+			classes += len(g.Classes)
+			seen := make(map[string]bool)
+			for _, c := range g.Classes {
+				key := fmt.Sprint(c.Kind, c.First.Pos, c.Second.Pos)
 				if seen[key] {
-					t.Errorf("race %s recorded twice", key)
+					t.Errorf("round %d group %d: class %s recorded twice", it.N, gi, key)
 				}
 				seen[key] = true
 			}
@@ -224,8 +226,8 @@ func TestExplainOneRecordPerFact(t *testing.T) {
 	if races != 465 {
 		t.Errorf("groups hold %d races, want the summary's 465", races)
 	}
-	if n := strings.Count(stderr, " race on "); n != 465 {
-		t.Errorf("-v text prints %d race lines, want 465 (each race once)", n)
+	if n := strings.Count(stderr, " race(s) on "); n != classes {
+		t.Errorf("-v text prints %d class lines, want %d (each class once)", n, classes)
 	}
 
 	f, err := os.Open(jsonl)
@@ -269,5 +271,66 @@ func TestHjreportChipsMatchSummary(t *testing.T) {
 		if !strings.Contains(page, want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+}
+
+// TestExplainOneRecordPerClass: the explain record, its -v text and
+// hjreport's page hold one entry per race class of each NS-LCA group,
+// not one per race, and the class counts add up to the races hjrepair
+// reports. Finish-stripped SOR has 20,580 races in 3 classes, and
+// Mergesort 277,680 races in 1,534 class records over 511 groups.
+func TestExplainOneRecordPerClass(t *testing.T) {
+	for _, c := range []struct {
+		name                        string
+		races, records              int
+		maxJSON, maxText, maxReport int
+	}{
+		{"SOR", 20580, 3, 20 << 10, 10 << 10, 2 << 20},
+		{"Mergesort", 277680, 1534, 2 << 20, 2 << 20, 2 << 20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			explain := filepath.Join(dir, "explain.json")
+			_, stderr, code := runTool(t, "hjrepair", "-v", "-explain", explain,
+				"-o", filepath.Join(dir, "fixed.hj"), writeStripped(t, c.name))
+			if code != 0 {
+				t.Fatalf("hjrepair failed (%d): %s", code, stderr)
+			}
+			if want := fmt.Sprintf("hjrepair: %d race(s) found", c.races); !strings.Contains(stderr, want) {
+				t.Errorf("summary lacks %q", want)
+			}
+			raw, err := os.ReadFile(explain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := provenance.ReadJSON(strings.NewReader(string(raw)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			races, records := 0, 0
+			for _, it := range ex.Iterations {
+				for _, g := range it.Groups {
+					races += g.Races()
+					records += len(g.Classes)
+				}
+			}
+			if races != c.races || records != c.records {
+				t.Errorf("record holds %d races in %d class records, want %d in %d", races, records, c.races, c.records)
+			}
+			if len(raw) > c.maxJSON || len(stderr) > c.maxText {
+				t.Errorf("record is %d bytes and -v text %d, want at most %d and %d", len(raw), len(stderr), c.maxJSON, c.maxText)
+			}
+			page := filepath.Join(dir, "report.html")
+			if _, stderr, code := runTool(t, "hjreport", "-explain", explain, "-o", page); code != 0 {
+				t.Fatalf("hjreport failed (%d): %s", code, stderr)
+			}
+			fi, err := os.Stat(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() > int64(c.maxReport) {
+				t.Errorf("report page is %d bytes, want at most %d", fi.Size(), c.maxReport)
+			}
+		})
 	}
 }

@@ -7,10 +7,10 @@
 // Three capabilities build on the controller (the robustness layer of
 // ROADMAP item 3):
 //
-//   - witness generation (FindWitness): replay a reported race pair
-//     under race-directed schedules until the program observably
-//     diverges from the serial oracle — a concrete torn-value or
-//     wrong-output witness instead of an abstract race report;
+//   - witness generation (FindWitness): replay each static race under
+//     race-directed schedules until the program observably diverges
+//     from the serial oracle — a concrete torn-value or wrong-output
+//     witness instead of an abstract race report;
 //   - adversarial verification (Verify): re-execute a repaired program
 //     under K schedules (race-directed + seeded random-priority) and
 //     fail if any interleaving diverges from the oracle;

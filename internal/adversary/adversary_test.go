@@ -125,10 +125,11 @@ func TestCounterLostUpdateWitness(t *testing.T) {
 		t.Fatalf("oracle output = %q, want 2", oracle.Output)
 	}
 	// count is global slot 0 => loc 1.
-	w, err := FindWitness(info, oracle, RaceTarget{Loc: 1, Kind: "W->W"}, SearchOptions{Seed: 1})
+	ws, _, err := FindWitness(info, oracle, [][]uint64{{1}}, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatalf("FindWitness: %v", err)
 	}
+	w := ws[0]
 	if w == nil {
 		t.Fatal("no witness found for the counter lost update")
 	}
@@ -154,10 +155,11 @@ func TestWriteReadWitness(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	w, err := FindWitness(info, oracle, RaceTarget{Loc: 1, Kind: "W->R"}, SearchOptions{Seed: 1})
+	ws, _, err := FindWitness(info, oracle, [][]uint64{{1}}, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatalf("FindWitness: %v", err)
 	}
+	w := ws[0]
 	if w == nil {
 		t.Fatal("no witness found for the W->R race")
 	}
@@ -203,10 +205,12 @@ func TestVerifyCatchesRacyProgram(t *testing.T) {
 	}
 }
 
-func TestSearchGapUnreachable(t *testing.T) {
-	// The repaired form of examples/hj/unexercised.hj: the first writer
-	// is fenced, the second is gated on a threshold this input never
-	// reaches — its statement position must be schedule-unreachable.
+// gapProgram checks the repaired form of examples/hj/unexercised.hj and
+// returns it with the positions of its two writer statements: the first
+// writer is fenced, the second is gated on a threshold this input never
+// reaches.
+func gapProgram(t *testing.T) (*sem.Info, token.Pos, token.Pos) {
+	t.Helper()
 	src := `
 var x = 0;
 var limit = 3;
@@ -218,14 +222,9 @@ func main() {
     println(x);
 }
 `
-	prog := parser.MustParse(src)
-	info, err := sem.Check(prog)
-	if err != nil {
-		t.Fatalf("sem.Check: %v", err)
-	}
-	// Find the positions of the two writer statements.
+	info := check(t, src)
 	var aPos, bPos token.Pos
-	ast.Inspect(prog, func(s ast.Stmt) {
+	ast.Inspect(info.Prog, func(s ast.Stmt) {
 		if as, ok := s.(*ast.AssignStmt); ok {
 			if as.Pos().Line == 5 {
 				aPos = as.Pos()
@@ -238,19 +237,96 @@ func main() {
 	if aPos == (token.Pos{}) || bPos == (token.Pos{}) {
 		t.Fatalf("did not locate writer statements (a=%v b=%v)", aPos, bPos)
 	}
+	return info, aPos, bPos
+}
+
+func TestSearchGapUnreachable(t *testing.T) {
+	info, aPos, bPos := gapProgram(t)
 	oracle, err := Oracle(info, nil)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	res, err := SearchGap(info, oracle, GapTarget{APos: aPos, BPos: bPos}, SearchOptions{Seed: 1, RandomSchedules: 4})
+	results, _, err := SearchGap(info, oracle, []GapTarget{{APos: aPos, BPos: bPos}}, SearchOptions{Seed: 1, RandomSchedules: 4})
 	if err != nil {
 		t.Fatalf("SearchGap: %v", err)
 	}
+	res := results[0]
 	if res.Status != GapUnreachable {
 		t.Fatalf("gap status = %q (reachedA=%v reachedB=%v), want unreachable", res.Status, res.ReachedA, res.ReachedB)
 	}
 	if !res.ReachedA || res.ReachedB {
 		t.Errorf("reachability: a=%v b=%v, want a reached and b not", res.ReachedA, res.ReachedB)
+	}
+}
+
+// TestSearchGapRunsEachScheduleOnce: gaps searched together share their
+// schedule runs, yet each gets the verdict a search of it alone gives.
+func TestSearchGapRunsEachScheduleOnce(t *testing.T) {
+	info, aPos, bPos := gapProgram(t)
+	oracle, err := Oracle(info, nil)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	opts := SearchOptions{Seed: 1, RandomSchedules: 4}
+	targets := []GapTarget{{APos: aPos, BPos: bPos}, {APos: bPos, BPos: aPos}, {APos: aPos, BPos: aPos}}
+	results, runs, err := SearchGap(info, oracle, targets, opts)
+	if err != nil {
+		t.Fatalf("SearchGap: %v", err)
+	}
+	// Two distinct defer-pos schedules and the four randoms, each once.
+	if runs != 2+4 {
+		t.Errorf("%d schedule runs, want 6", runs)
+	}
+	for i, target := range targets {
+		alone, n, err := SearchGap(info, oracle, []GapTarget{target}, opts)
+		if err != nil {
+			t.Fatalf("SearchGap %d alone: %v", i, err)
+		}
+		if n > 2+4 {
+			t.Errorf("gap %d alone: %d runs, want at most 6", i, n)
+		}
+		got, want := results[i], alone[0]
+		if got.Status != want.Status || got.ReachedA != want.ReachedA || got.ReachedB != want.ReachedB {
+			t.Errorf("gap %d: searched together %+v, alone %+v", i, got, want)
+		}
+	}
+	if results[2].Status != GapNoDivergence {
+		t.Errorf("gap on the fenced writer alone: %q, want no-divergence", results[2].Status)
+	}
+}
+
+// TestFindWitnessRunsEachScheduleOnce: the classes of one search share
+// their schedule runs. Two classes on the counter's location reuse the
+// one defer-write run that witnesses both; on the race-free counter, two
+// classes that both fall back to the random schedules run them once.
+func TestFindWitnessRunsEachScheduleOnce(t *testing.T) {
+	info := check(t, counterSrc)
+	oracle, err := Oracle(info, nil)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	ws, runs, err := FindWitness(info, oracle, [][]uint64{{1}, {1}}, SearchOptions{Seed: 1})
+	if err != nil {
+		t.Fatalf("FindWitness: %v", err)
+	}
+	if ws[0] == nil || ws[1] != ws[0] || runs != 1 {
+		t.Errorf("witnesses %v after %d run(s), want one shared witness after 1", ws, runs)
+	}
+
+	info = check(t, repairedCounterSrc)
+	if oracle, err = Oracle(info, nil); err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	ws, runs, err = FindWitness(info, oracle, [][]uint64{{1}, {2}}, SearchOptions{Seed: 1, RandomSchedules: 4})
+	if err != nil {
+		t.Fatalf("FindWitness: %v", err)
+	}
+	if ws[0] != nil || ws[1] != nil {
+		t.Errorf("witnesses %v on a race-free program", ws)
+	}
+	// Each class's two race-directed schedules, then the four randoms once.
+	if runs != 2+2+4 {
+		t.Errorf("%d schedule runs, want 8", runs)
 	}
 }
 

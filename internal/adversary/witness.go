@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"finishrepair/internal/guard"
@@ -43,25 +44,18 @@ func Diverges(oracle, o *Outcome) (bool, string) {
 	return false, ""
 }
 
-// RaceTarget identifies one reported race for the witness search: the
-// shared location the race-directed schedules aim at, plus the report's
-// kind and positions for attribution.
+// RaceTarget identifies one reported race: the shared location the
+// race-directed schedules aim at, plus the report's kind and positions.
 type RaceTarget struct {
 	Loc            uint64
 	Kind           string // "W->W", "R->W", "W->R"
 	SrcPos, DstPos string
 }
 
-// String renders the target as in race reports.
-func (t RaceTarget) String() string {
-	return fmt.Sprintf("%s on loc %d (%s vs %s)", t.Kind, t.Loc, t.SrcPos, t.DstPos)
-}
-
 // Witness is a reproduced race: a deterministic schedule under which
 // the program observably diverges from the serial oracle, with the
 // evidence (expected vs actual output and final state).
 type Witness struct {
-	Target   RaceTarget
 	Schedule Schedule
 	Reason   string // "output differs", "final state differs", "schedule failed: ..."
 	Expected string // oracle output
@@ -78,7 +72,7 @@ type Witness struct {
 }
 
 // newWitness records schedule s's divergence from the oracle, for the
-// given reason, as a witness without a race target.
+// given reason.
 func newWitness(s Schedule, reason string, oracle, out *Outcome) *Witness {
 	return &Witness{
 		Schedule:      s,
@@ -108,41 +102,97 @@ type SearchOptions struct {
 }
 
 // DefaultRandomSchedules is the random-priority fallback depth of the
-// witness search, after the two race-directed schedules.
+// witness and gap searches, after their directed schedules.
 const DefaultRandomSchedules = 16
 
-func (o SearchOptions) randoms() int {
-	if o.RandomSchedules == 0 {
-		return DefaultRandomSchedules
+// randomSchedules lists the seeded random-priority schedules a search
+// falls back to.
+func (o SearchOptions) randomSchedules() []Schedule {
+	n := o.RandomSchedules
+	if n == 0 {
+		n = DefaultRandomSchedules
 	}
-	return o.RandomSchedules
+	var scheds []Schedule
+	for i := 0; i < n; i++ {
+		scheds = append(scheds, Schedule{Policy: RandomPriority, Seed: o.Seed + int64(i)})
+	}
+	return scheds
 }
 
-// FindWitness searches for a deterministic witness of one reported
-// race: first the two race-directed schedules on the racing location,
-// then seeded random-priority schedules. The first schedule that makes
-// the program diverge from the serial oracle becomes the witness. A
-// (nil, nil) return means no tried schedule diverged.
-func FindWitness(info *sem.Info, oracle *Outcome, target RaceTarget, opts SearchOptions) (*Witness, error) {
-	start := time.Now()
-	defer func() { mWitnessNs.Observe(time.Since(start).Nanoseconds()) }()
-	scheds := RaceDirected(target.Loc)
-	for i := 0; i < opts.randoms(); i++ {
-		scheds = append(scheds, Schedule{Policy: RandomPriority, Seed: opts.Seed + int64(i)})
+// search runs one witness or gap search's schedules against the serial
+// oracle, each distinct schedule at most once: an outcome depends only
+// on the program and the schedule, so a repeat would reproduce it. Every
+// run watches the same positions.
+type search struct {
+	info   *sem.Info
+	oracle *Outcome
+	opts   SearchOptions
+	watch  []token.Pos
+	runs   map[Schedule]*verdict
+}
+
+// verdict is one schedule's outcome as a search reads it: its
+// divergence (nil when it matched the oracle) and which watched
+// positions it reached.
+type verdict struct {
+	witness *Witness
+	reached []bool
+}
+
+func newSearch(info *sem.Info, oracle *Outcome, opts SearchOptions, watch []token.Pos) *search {
+	return &search{info: info, oracle: oracle, opts: opts, watch: watch, runs: make(map[Schedule]*verdict)}
+}
+
+// run returns the schedule's verdict, running it on first use.
+func (s *search) run(sched Schedule) (*verdict, error) {
+	if v, ok := s.runs[sched]; ok {
+		return v, nil
 	}
-	for _, s := range scheds {
-		out, err := Run(info, s, RunOptions{Meter: opts.Meter, MaxYields: opts.MaxYields})
-		if err != nil {
-			return nil, err
-		}
-		if div, reason := Diverges(oracle, out); div {
-			mWitnessesFound.Inc()
-			w := newWitness(s, reason, oracle, out)
-			w.Target = target
-			return w, nil
-		}
+	out, err := Run(s.info, sched, RunOptions{Meter: s.opts.Meter, MaxYields: s.opts.MaxYields, Watch: s.watch})
+	if err != nil {
+		return nil, err
 	}
-	return nil, nil
+	v := &verdict{reached: out.Reached}
+	if div, reason := Diverges(s.oracle, out); div {
+		v.witness = newWitness(sched, reason, s.oracle, out)
+	}
+	s.runs[sched] = v
+	return v, nil
+}
+
+// FindWitness searches one deterministic witness per static race.
+// classes lists each class's locations in report order. For each class
+// the search tries the two race-directed schedules of each location in
+// turn, then the seeded random-priority schedules; the first schedule
+// that makes the program diverge from the serial oracle is the class's
+// witness, and a nil entry means no tried schedule diverged. Each
+// distinct schedule runs at most once per search, so the random
+// schedules, which do not depend on the class, run once for every class
+// that falls back to them. It also returns how many schedules ran.
+func FindWitness(info *sem.Info, oracle *Outcome, classes [][]uint64, opts SearchOptions) ([]*Witness, int, error) {
+	s := newSearch(info, oracle, opts, nil)
+	randoms := opts.randomSchedules()
+	witnesses := make([]*Witness, len(classes))
+	for i, locs := range classes {
+		start := time.Now()
+		var scheds []Schedule
+		for _, loc := range locs {
+			scheds = append(scheds, RaceDirected(loc)...)
+		}
+		for _, sched := range append(scheds, randoms...) {
+			v, err := s.run(sched)
+			if err != nil {
+				return nil, 0, err
+			}
+			if v.witness != nil {
+				mWitnessesFound.Inc()
+				witnesses[i] = v.witness
+				break
+			}
+		}
+		mWitnessNs.Observe(time.Since(start).Nanoseconds())
+	}
+	return witnesses, len(s.runs), nil
 }
 
 // ScheduleResult is one verify schedule's verdict.
@@ -157,7 +207,7 @@ type ScheduleResult struct {
 type VerifyReport struct {
 	Schedules []ScheduleResult
 	Failures  int
-	// First is the first divergence, as a witness without a race target.
+	// First is the first divergence, as a witness of no particular race.
 	First *Witness
 }
 
@@ -235,39 +285,61 @@ type GapResult struct {
 	ReachedA, ReachedB bool
 }
 
-// SearchGap drives one unexercised static race candidate with
+// SearchGap drives unexercised static race candidates with
 // position-directed schedules (defer accesses at each endpoint) plus
-// seeded random-priority schedules, watching whether the candidate's
+// seeded random-priority schedules, watching whether each candidate's
 // statements execute at all. Run it on the REPAIRED program: the
 // covered races are already fixed there, so any divergence is
 // attributable to uncovered candidates.
-func SearchGap(info *sem.Info, oracle *Outcome, target GapTarget, opts SearchOptions) (*GapResult, error) {
-	mGapSearches.Inc()
-	scheds := []Schedule{
-		{Policy: DeferPos, Pos: target.APos},
-		{Policy: DeferPos, Pos: target.BPos},
-	}
-	for i := 0; i < opts.randoms(); i++ {
-		scheds = append(scheds, Schedule{Policy: RandomPriority, Seed: opts.Seed + int64(i)})
-	}
-	res := &GapResult{Target: target, Status: GapNoDivergence}
-	watch := []token.Pos{target.APos, target.BPos}
-	for _, s := range scheds {
-		out, err := Run(info, s, RunOptions{Meter: opts.Meter, MaxYields: opts.MaxYields, Watch: watch})
-		if err != nil {
-			return nil, err
+//
+// Every run watches every candidate's endpoints, and each distinct
+// schedule runs at most once per search: a gap adds its two defer-pos
+// schedules, and the random schedules, which do not depend on the gap,
+// run once for all gaps. A gap's verdict is what running its own
+// schedules in turn would give: the first divergence witnesses it, and
+// its endpoints count as reached if a run up to that point reached
+// them. It also returns how many schedules ran.
+func SearchGap(info *sem.Info, oracle *Outcome, targets []GapTarget, opts SearchOptions) ([]*GapResult, int, error) {
+	var watch []token.Pos // each endpoint once: every yield scans it
+	index := func(p token.Pos) int {
+		i := slices.Index(watch, p)
+		if i < 0 {
+			i, watch = len(watch), append(watch, p)
 		}
-		res.ReachedA = res.ReachedA || out.Reached[0]
-		res.ReachedB = res.ReachedB || out.Reached[1]
-		if div, reason := Diverges(oracle, out); div {
-			mWitnessesFound.Inc()
-			res.Status = GapWitnessed
-			res.Witness = newWitness(s, reason, oracle, out)
-			return res, nil
+		return i
+	}
+	ends := make([][2]int, len(targets))
+	for i, t := range targets {
+		ends[i] = [2]int{index(t.APos), index(t.BPos)}
+	}
+	s := newSearch(info, oracle, opts, watch)
+	randoms := opts.randomSchedules()
+	results := make([]*GapResult, len(targets))
+	for i, target := range targets {
+		mGapSearches.Inc()
+		res := &GapResult{Target: target, Status: GapNoDivergence}
+		scheds := append([]Schedule{
+			{Policy: DeferPos, Pos: target.APos},
+			{Policy: DeferPos, Pos: target.BPos},
+		}, randoms...)
+		for _, sched := range scheds {
+			v, err := s.run(sched)
+			if err != nil {
+				return nil, 0, err
+			}
+			res.ReachedA = res.ReachedA || v.reached[ends[i][0]]
+			res.ReachedB = res.ReachedB || v.reached[ends[i][1]]
+			if v.witness != nil {
+				mWitnessesFound.Inc()
+				res.Status = GapWitnessed
+				res.Witness = v.witness
+				break
+			}
 		}
+		if res.Status != GapWitnessed && (!res.ReachedA || !res.ReachedB) {
+			res.Status = GapUnreachable
+		}
+		results[i] = res
 	}
-	if !res.ReachedA || !res.ReachedB {
-		res.Status = GapUnreachable
-	}
-	return res, nil
+	return results, len(s.runs), nil
 }

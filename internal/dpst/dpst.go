@@ -114,14 +114,22 @@ func (n *Node) Resolve() *Node {
 // IsScope reports whether the node is a scope node.
 func (n *Node) IsScope() bool { return n.Kind == Scope }
 
-// StmtPos renders the source position ("line:col") of the first
-// statement the node covers, or "" when unknown (the root, loop-header
-// pseudo-steps).
-func (n *Node) StmtPos() string {
+// Stmt returns the first statement the node covers, or nil when
+// unknown (the root, loop-header pseudo-steps).
+func (n *Node) Stmt() ast.Stmt {
 	if n.OwnerBlock == nil || n.StmtLo < 0 || n.StmtLo >= len(n.OwnerBlock.Stmts) {
-		return ""
+		return nil
 	}
-	return n.OwnerBlock.Stmts[n.StmtLo].Pos().String()
+	return n.OwnerBlock.Stmts[n.StmtLo]
+}
+
+// StmtPos renders the source position ("line:col") of Stmt, or "" when
+// it is unknown.
+func (n *Node) StmtPos() string {
+	if s := n.Stmt(); s != nil {
+		return s.Pos().String()
+	}
+	return ""
 }
 
 // Tree is an S-DPST under construction or completed.

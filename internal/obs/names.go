@@ -68,7 +68,8 @@ var KnownMetrics = map[string]string{
 	"fault.recovered_panics": "counter",
 
 	// adversary: controlled-schedule replay (witness search, gap search,
-	// post-repair adversarial verification).
+	// post-repair adversarial verification). witness_ns times the search
+	// for one static race class; verify_schedule_ns one verify schedule.
 	"adversary.schedules_run":      "counter",
 	"adversary.witnesses_found":    "counter",
 	"adversary.yields":             "counter",

@@ -5,12 +5,13 @@
 // import cycles.
 //
 // One Explain document covers one hjrepair run: per repair iteration it
-// records the NS-LCA groups of the detected races, each race in its one
-// group, and for each group the DP placement decision (candidate
-// vertices considered, the chosen finish ranges, DP states explored,
-// fallback or not), plus the critical-path metrics before the first
-// repair and after the last. Each fact is stored once: a finish entry
-// names the groups that chose its scope instead of copying them.
+// records the NS-LCA groups of the detected races, each group's races
+// folded into their static race classes, and for each group the DP
+// placement decision (candidate vertices considered, the chosen finish
+// ranges, DP states explored, fallback or not), plus the critical-path
+// metrics before the first repair and after the last. Each fact is
+// stored once: a finish entry names the groups that chose its scope
+// instead of copying them.
 package provenance
 
 import (
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // CPL is a critical-path snapshot of the program's computation graph:
@@ -45,13 +47,16 @@ type Node struct {
 	Pos  string `json:"pos,omitempty"`
 }
 
-// RacePair is one detected race: the two conflicting steps, the shared
-// location, and the access kinds.
-type RacePair struct {
-	First  Node   `json:"first"`
-	Second Node   `json:"second"`
-	Loc    string `json:"loc"`
-	Kind   string `json:"kind,omitempty"` // "write-write", "read-write", ...
+// RaceClass is one static race of a group: its races of one kind
+// between the same source and sink statements. First and Second are the
+// steps of the class's first race, Races counts its dynamic races, and
+// Locs lists its first distinct locations (at most race.ClassLocs).
+type RaceClass struct {
+	Kind   string   `json:"kind"` // "W->W", "R->W", "W->R"
+	First  Node     `json:"first"`
+	Second Node     `json:"second"`
+	Races  int      `json:"races"`
+	Locs   []uint64 `json:"locs"`
 }
 
 // Finish describes the placement the repair chose: the block the
@@ -65,13 +70,13 @@ type Finish struct {
 	Kind string `json:"kind,omitempty"`
 }
 
-// Group is the per-NS-LCA placement decision: the races funneled into
-// this group, the NS-LCA node they share, the candidate vertices the DP
-// considered, what it chose, and how hard it had to work.
+// Group is the per-NS-LCA placement decision: the race classes funneled
+// into this group, the NS-LCA node they share, the candidate vertices
+// the DP considered, what it chose, and how hard it had to work.
 type Group struct {
-	LCA        Node       `json:"lca"`
-	Races      []RacePair `json:"races"`
-	Candidates []Node     `json:"candidates,omitempty"`
+	LCA        Node        `json:"lca"`
+	Classes    []RaceClass `json:"classes"`
+	Candidates []Node      `json:"candidates,omitempty"`
 	// Chosen lists the scopes the placement selected for this group, each
 	// once (the optimal partition may need more than one).
 	Chosen   []Finish `json:"chosen,omitempty"`
@@ -98,6 +103,15 @@ type Group struct {
 	CommuteProbe  string `json:"commute_probe,omitempty"`
 }
 
+// Races sums the group's class counts: its dynamic races.
+func (g *Group) Races() int {
+	n := 0
+	for _, c := range g.Classes {
+		n += c.Races
+	}
+	return n
+}
+
 // Iteration is one round of the detect → group → place loop. The
 // round's races live in its groups: every race has exactly one NS-LCA,
 // so the groups partition them.
@@ -122,9 +136,11 @@ type FinishEntry struct {
 // WitnessRec is one replayed race witness: the schedule under which the
 // program observably diverged from the serial oracle, with the evidence.
 type WitnessRec struct {
-	// Race attributes the witness to a reported race ("W->W on loc 1
-	// (3:9 vs 4:9)"); empty for unattributed verify divergences.
-	Race string `json:"race,omitempty"`
+	// Race attributes the witness to a static race ("W->W 3:9 vs 4:9")
+	// and Races counts that class's dynamic races; both are empty for
+	// unattributed verify divergences.
+	Race  string `json:"race,omitempty"`
+	Races int    `json:"races,omitempty"`
 	// Schedule is the replayable schedule ("defer-write@loc1", "random#7").
 	Schedule string `json:"schedule"`
 	// Reason is "output differs", "final state differs", or
@@ -260,11 +276,9 @@ func (e *Explain) GroupsOf(f FinishEntry) []*Group {
 	return nil
 }
 
-// WriteJSON writes the document as indented JSON.
+// WriteJSON writes the document as compact JSON.
 func (e *Explain) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(e)
+	return json.NewEncoder(w).Encode(e)
 }
 
 // ReadJSON parses a document written by WriteJSON.
@@ -291,8 +305,9 @@ func (e *Explain) WriteText(w io.Writer) error {
 	if len(e.Finishes) == 0 {
 		fmt.Fprintln(w, "no finishes inserted (program already race-free or repair degraded)")
 	}
-	// listed names the block that printed each group's races, so every
-	// race is printed once even when its group chose several scopes.
+	// listed names the block that printed each group's race classes, so
+	// every class is printed once even when its group chose several
+	// scopes.
 	listed := make(map[*Group]string)
 	for i, f := range e.Finishes {
 		kind := f.Finish.Kind
@@ -327,7 +342,7 @@ func (e *Explain) WriteText(w io.Writer) error {
 		}
 	}
 	if len(e.Witnesses) > 0 {
-		fmt.Fprintf(w, "\nwitnesses (%d race(s) replayed to a concrete divergence):\n", len(e.Witnesses))
+		fmt.Fprintf(w, "\nwitnesses (%d static race(s) replayed to a concrete divergence):\n", len(e.Witnesses))
 		for _, wr := range e.Witnesses {
 			writeWitness(w, "  ", &wr)
 		}
@@ -352,10 +367,13 @@ func (e *Explain) WriteText(w io.Writer) error {
 	return nil
 }
 
-// why says which races the group holds and where their NS-LCA is.
+// why says how many races the group holds and where their NS-LCA is.
 func (g *Group) why() string {
-	return fmt.Sprintf("%d race(s) share NS-LCA %s node #%d at %s",
-		len(g.Races), g.LCA.Kind, g.LCA.ID, orUnknown(g.LCA.Pos))
+	lca := "program root"
+	if g.LCA.Kind != "root" {
+		lca = fmt.Sprintf("%s node #%d at %s", g.LCA.Kind, g.LCA.ID, orUnknown(g.LCA.Pos))
+	}
+	return fmt.Sprintf("%d race(s) share NS-LCA %s", g.Races(), lca)
 }
 
 // how says how the group's placement was computed.
@@ -367,7 +385,8 @@ func (g *Group) how() string {
 }
 
 // writeGroup prints the group's strategy choice and commutativity
-// evidence, and its races unless an earlier block listed them.
+// evidence, and its race classes, one line each, unless an earlier block
+// listed them.
 func writeGroup(w io.Writer, indent string, g *Group, listed map[*Group]string, block string) {
 	if g.Strategy != "" {
 		fmt.Fprintf(w, "%sstrategy: %s (%s)\n", indent, g.Strategy, g.StrategyWhy)
@@ -380,21 +399,40 @@ func writeGroup(w io.Writer, indent string, g *Group, listed map[*Group]string, 
 		return
 	}
 	listed[g] = block
-	for _, r := range g.Races {
-		fmt.Fprintf(w, "%s  race on %s: %s vs %s", indent, r.Loc, orUnknown(r.First.Pos), orUnknown(r.Second.Pos))
-		if r.Kind != "" {
-			fmt.Fprintf(w, " (%s)", r.Kind)
-		}
-		fmt.Fprintln(w)
+	for _, c := range g.Classes {
+		fmt.Fprintf(w, "%s  %s %s vs %s: %d race(s) on %s\n", indent,
+			c.Kind, orUnknown(c.First.Pos), orUnknown(c.Second.Pos), c.Races, c.LocList())
 	}
 }
 
-func writeWitness(w io.Writer, indent string, wr *WitnessRec) {
-	head := wr.Race
-	if head == "" {
-		head = "divergence"
+// LocList renders the class's locations ("loc#3, loc#4"), ending in
+// ", ..." when the class has more races than locations listed.
+func (c *RaceClass) LocList() string {
+	var b strings.Builder
+	for i, l := range c.Locs {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "loc#%d", l)
 	}
-	fmt.Fprintf(w, "%s%s under %s: %s\n", indent, head, wr.Schedule, wr.Reason)
+	if c.Races > len(c.Locs) {
+		b.WriteString(", ...")
+	}
+	return b.String()
+}
+
+// Subject names what the witness reproduces: its static race and that
+// race's dynamic-race count ("W->W 3:9 vs 4:9 (2 race(s))"), or
+// "divergence" for an unattributed one.
+func (wr *WitnessRec) Subject() string {
+	if wr.Race == "" {
+		return "divergence"
+	}
+	return fmt.Sprintf("%s (%d race(s))", wr.Race, wr.Races)
+}
+
+func writeWitness(w io.Writer, indent string, wr *WitnessRec) {
+	fmt.Fprintf(w, "%s%s under %s: %s\n", indent, wr.Subject(), wr.Schedule, wr.Reason)
 	fmt.Fprintf(w, "%s  expected %q got %q\n", indent, wr.Expected, wr.Actual)
 	if wr.ExpectedState != wr.ActualState {
 		fmt.Fprintf(w, "%s  state expected %q got %q\n", indent, wr.ExpectedState, wr.ActualState)

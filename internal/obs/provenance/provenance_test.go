@@ -20,12 +20,12 @@ func sampleExplain() *Explain {
 				Groups: []Group{
 					{
 						LCA:      Node{ID: 3, Kind: "finish", Pos: "8:5"},
-						Races:    []RacePair{{First: Node{ID: 6, Kind: "step", Pos: "9:17"}, Second: Node{ID: 9, Kind: "step", Pos: "10:17"}, Loc: "loc#1", Kind: "W->W"}},
+						Classes:  []RaceClass{{Kind: "W->W", First: Node{ID: 6, Kind: "step", Pos: "9:17"}, Second: Node{ID: 9, Kind: "step", Pos: "10:17"}, Races: 1, Locs: []uint64{1}}},
 						Chosen:   []Finish{{Pos: "9:9", Lo: 0, Hi: 0}},
 						DPStates: 10,
 						Applied:  true,
 					},
-					{LCA: Node{ID: 7}, Races: []RacePair{{Loc: "loc#2"}}, Applied: false, Note: "deferred"},
+					{LCA: Node{ID: 7}, Classes: []RaceClass{{Races: 1, Locs: []uint64{2}}}, Applied: false, Note: "deferred"},
 					{LCA: Node{ID: 8}},
 				},
 			},
@@ -72,12 +72,12 @@ func TestFinalizeSharedScope(t *testing.T) {
 	other := Finish{Pos: "14:5", Lo: 4, Hi: 4}
 	e := &Explain{Iterations: []Iteration{
 		{N: 0, CPL: &CPL{Work: 30, Span: 20}, Groups: []Group{
-			{LCA: Node{ID: 4, Kind: "async", Pos: "14:9"}, Races: []RacePair{{Loc: "loc#1"}}, Chosen: []Finish{shared, shared}, Applied: true},
-			{LCA: Node{ID: 5, Kind: "async", Pos: "15:9"}, Races: []RacePair{{Loc: "loc#2"}}, Chosen: []Finish{other}, Note: "deferred"},
-			{LCA: Node{ID: 6, Kind: "async", Pos: "16:9"}, Races: []RacePair{{Loc: "loc#3"}, {Loc: "loc#4"}}, Chosen: []Finish{shared}, Applied: true},
+			{LCA: Node{ID: 4, Kind: "async", Pos: "14:9"}, Classes: []RaceClass{{Races: 1, Locs: []uint64{1}}}, Chosen: []Finish{shared, shared}, Applied: true},
+			{LCA: Node{ID: 5, Kind: "async", Pos: "15:9"}, Classes: []RaceClass{{Races: 1, Locs: []uint64{2}}}, Chosen: []Finish{other}, Note: "deferred"},
+			{LCA: Node{ID: 6, Kind: "async", Pos: "16:9"}, Classes: []RaceClass{{Races: 1, Locs: []uint64{3}}, {Races: 1, Locs: []uint64{4}}}, Chosen: []Finish{shared}, Applied: true},
 		}},
 		{N: 1, CPL: &CPL{Work: 30, Span: 25}, Groups: []Group{
-			{LCA: Node{ID: 5, Kind: "async", Pos: "15:9"}, Races: []RacePair{{Loc: "loc#2"}}, Chosen: []Finish{other}, Applied: true},
+			{LCA: Node{ID: 5, Kind: "async", Pos: "15:9"}, Classes: []RaceClass{{Races: 1, Locs: []uint64{2}}}, Chosen: []Finish{other}, Applied: true},
 		}},
 		{N: 2, CPL: &CPL{Work: 30, Span: 26}},
 	}}
@@ -123,17 +123,18 @@ func TestFinalizeSharedScope(t *testing.T) {
 			t.Errorf("text missing %q:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "race on "); n != 4 {
-		t.Errorf("text prints %d race lines, want 4 (each race once):\n%s", n, out)
+	if n := strings.Count(out, " race(s) on "); n != 4 {
+		t.Errorf("text prints %d class lines, want 4 (each class once):\n%s", n, out)
 	}
 }
 
-// A group that chose two scopes lists its races under the first only.
+// A group that chose two scopes lists its race classes under the first
+// only.
 func TestWriteTextListsEachRaceOnce(t *testing.T) {
 	e := &Explain{Iterations: []Iteration{
 		{N: 0, Groups: []Group{{
 			LCA:     Node{ID: 2, Kind: "finish", Pos: "3:5"},
-			Races:   []RacePair{{Loc: "loc#1"}, {Loc: "loc#2"}},
+			Classes: []RaceClass{{Races: 1, Locs: []uint64{1}}, {Races: 1, Locs: []uint64{2}}},
 			Chosen:  []Finish{{Pos: "4:9", Lo: 0, Hi: 0}, {Pos: "6:9", Lo: 2, Hi: 2}},
 			Applied: true,
 		}}},
@@ -148,8 +149,8 @@ func TestWriteTextListsEachRaceOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if n := strings.Count(out, "race on "); n != 2 {
-		t.Errorf("text prints %d race lines, want 2:\n%s", n, out)
+	if n := strings.Count(out, " race(s) on "); n != 2 {
+		t.Errorf("text prints %d class lines, want 2:\n%s", n, out)
 	}
 	if !strings.Contains(out, "races listed under finish 1") {
 		t.Errorf("second block does not point at the first:\n%s", out)
@@ -226,5 +227,43 @@ func TestParallelism(t *testing.T) {
 	}
 	if p := (CPL{}).Parallelism(); p != 0 {
 		t.Errorf("zero-span Parallelism = %v, want 0", p)
+	}
+}
+
+// Each race class prints one line with its count and locations, the root
+// NS-LCA reads "program root", and the record is written compactly.
+func TestWriteTextClassLines(t *testing.T) {
+	e := &Explain{Iterations: []Iteration{
+		{N: 0, Groups: []Group{{
+			LCA: Node{ID: 0, Kind: "root"},
+			Classes: []RaceClass{
+				{Kind: "W->W", First: Node{Pos: "9:17"}, Second: Node{Pos: "10:17"}, Races: 2, Locs: []uint64{1, 2}},
+				{Kind: "W->R", First: Node{Pos: "53:17"}, Races: 2576, Locs: []uint64{5, 6}},
+			},
+			Chosen:  []Finish{{Pos: "4:9"}},
+			Applied: true,
+		}}},
+		{N: 1},
+	}}
+	e.Finalize()
+	var buf bytes.Buffer
+	if err := e.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"why: 2578 race(s) share NS-LCA program root\n",
+		"  W->W 9:17 vs 10:17: 2 race(s) on loc#1, loc#2\n",
+		"  W->R 53:17 vs ?: 2576 race(s) on loc#5, loc#6, ...\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("text missing %q:\n%s", want, buf.String())
+		}
+	}
+	buf.Reset()
+	if err := e.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), "\n"); n != 1 {
+		t.Errorf("JSON spans %d lines, want 1 (compact):\n%s", n, buf.String())
 	}
 }

@@ -1,8 +1,6 @@
 package repair
 
 import (
-	"fmt"
-
 	"finishrepair/internal/cpl"
 	"finishrepair/internal/dpst"
 	"finishrepair/internal/obs/provenance"
@@ -45,20 +43,20 @@ func provNode(n *dpst.Node) provenance.Node {
 	return provenance.Node{ID: n.ID, Kind: kind, Pos: n.StmtPos()}
 }
 
-// provRace converts a detected race to its provenance form.
-func provRace(r *race.Race) provenance.RacePair {
-	return provenance.RacePair{
-		First:  provNode(r.Src),
-		Second: provNode(r.Dst),
-		Loc:    fmt.Sprintf("loc#%d", r.Loc),
-		Kind:   r.Kind.String(),
-	}
-}
-
-func provRaces(races []*race.Race) []provenance.RacePair {
-	out := make([]provenance.RacePair, len(races))
-	for i, r := range races {
-		out[i] = provRace(r)
+// provClasses folds a group's races into their static classes, in
+// provenance form.
+func provClasses(races []*race.Race) []provenance.RaceClass {
+	var set race.ClassSet
+	set.Add(races)
+	out := make([]provenance.RaceClass, 0, len(set.Classes()))
+	for _, c := range set.Classes() {
+		out = append(out, provenance.RaceClass{
+			Kind:   c.First.Kind.String(),
+			First:  provNode(c.First.Src),
+			Second: provNode(c.First.Dst),
+			Races:  c.Races,
+			Locs:   c.Locs,
+		})
 	}
 	return out
 }
@@ -83,7 +81,7 @@ func provFinish(p Placement) provenance.Finish {
 func provGroup(o groupOutcome) provenance.Group {
 	g := provenance.Group{
 		LCA:      provNode(o.g.lca),
-		Races:    provRaces(o.g.races),
+		Classes:  provClasses(o.g.races),
 		DPStates: o.info.States,
 		Vertices: o.info.Vertices,
 		Edges:    o.info.Edges,

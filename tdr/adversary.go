@@ -1,7 +1,7 @@
 // Adversarial schedule replay: the robustness layer on top of the
 // repair loop. Where the repair's guarantee is analytic (the detector
 // found no race on the canonical execution), this layer is empirical:
-// it replays each reported race under deterministic race-directed
+// it replays each static race under deterministic race-directed
 // schedules until the program observably misbehaves (a witness), drives
 // uncovered static candidates with position-directed schedules (gap
 // search), and re-executes the repaired program under K adversarial
@@ -13,7 +13,7 @@ package tdr
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"finishrepair/internal/adversary"
 	"finishrepair/internal/analysis"
@@ -22,6 +22,7 @@ import (
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/obs/provenance"
+	"finishrepair/internal/race"
 )
 
 // DefaultAdversarySchedules is the verification suite size when
@@ -73,9 +74,8 @@ func (e *AdversaryError) Error() string {
 	return msg
 }
 
-func convertWitness(w *adversary.Witness, raceDesc string) Witness {
+func convertWitness(w *adversary.Witness) Witness {
 	return Witness{
-		Race:          raceDesc,
 		Schedule:      w.Schedule.String(),
 		Reason:        w.Reason,
 		Expected:      w.Expected,
@@ -89,12 +89,13 @@ func convertWitness(w *adversary.Witness, raceDesc string) Witness {
 // adversaryStage runs the witness search, gap search, and K-schedule
 // verification after the repair loop, filling report.Witnesses,
 // report.GapVerdicts, and report.Adversary. origSrc is the pre-repair
-// source (the witness search replays the races where they were
+// source (the witness search replays each static race where it was
 // reported); the gap search and verification run on the repaired AST,
-// whose original statements keep their source positions. repairFailed
-// limits the stage to the witness search: a program the repair loop
-// left racy has nothing sound to verify.
-func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *RepairReport, origSrc string, targets []adversary.RaceTarget, res *analysis.Result, repairFailed bool) error {
+// whose original statements keep their source positions, and the
+// verification directs schedules at locs, every racing location.
+// repairFailed limits the stage to the witness search: a program the
+// repair loop left racy has nothing sound to verify.
+func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *RepairReport, origSrc string, classes []race.Class, locs map[uint64]struct{}, res *analysis.Result, repairFailed bool) error {
 	tr := opts.Tracer
 	if tr == nil {
 		tr = p.tracer
@@ -108,10 +109,10 @@ func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *Rep
 		m.SetPhase("adversary")
 		sopts := adversary.SearchOptions{Meter: m, Seed: opts.SchedSeed}
 
-		// Witness search: replay each reported race on the original
+		// Witness search: replay each static race on the original
 		// program until a race-directed or seeded random schedule makes
 		// it observably diverge from the serial oracle.
-		if opts.Witness && len(targets) > 0 {
+		if opts.Witness && len(classes) > 0 {
 			prog, perr := parser.Parse(origSrc)
 			if perr != nil {
 				return perr
@@ -124,15 +125,22 @@ func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *Rep
 			if oerr != nil {
 				return oerr
 			}
-			sp := tr.Start("witness-search").SetInt("targets", int64(len(targets)))
-			for _, tgt := range targets {
-				w, werr := adversary.FindWitness(info, oracle, tgt, sopts)
-				if werr != nil {
-					sp.End()
-					return werr
-				}
+			sp := tr.Start("witness-search").SetInt("targets", int64(len(classes)))
+			classLocs := make([][]uint64, len(classes))
+			for i, c := range classes {
+				classLocs[i] = c.Locs
+			}
+			ws, runs, werr := adversary.FindWitness(info, oracle, classLocs, sopts)
+			sp.SetInt("schedules", int64(runs))
+			if werr != nil {
+				sp.End()
+				return werr
+			}
+			for i, w := range ws {
 				if w != nil {
-					report.Witnesses = append(report.Witnesses, convertWitness(w, tgt.String()))
+					rec := convertWitness(w)
+					rec.Race, rec.Races = classes[i].String(), classes[i].Races
+					report.Witnesses = append(report.Witnesses, rec)
 				}
 			}
 			sp.SetInt("witnesses", int64(len(report.Witnesses))).End()
@@ -156,21 +164,22 @@ func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *Rep
 			uncovered := res.UncoveredCandidates()
 			if len(uncovered) > 0 {
 				sp := tr.Start("gap-search").SetInt("gaps", int64(len(uncovered)))
-				for _, c := range uncovered {
-					gres, gerr := adversary.SearchGap(p.info, oracle, adversary.GapTarget{
-						APos: c.APos, BPos: c.BPos, Desc: c.String(),
-					}, sopts)
-					if gerr != nil {
-						sp.End()
-						return gerr
-					}
-					gv := GapVerdict{Gap: gres.Target.Desc, Status: gres.Status}
-					if gres.Witness != nil {
-						gv.Schedule = gres.Witness.Schedule.String()
+				targets := make([]adversary.GapTarget, len(uncovered))
+				for i, c := range uncovered {
+					targets[i] = adversary.GapTarget{APos: c.APos, BPos: c.BPos, Desc: c.String()}
+				}
+				gres, runs, gerr := adversary.SearchGap(p.info, oracle, targets, sopts)
+				sp.SetInt("schedules", int64(runs)).End()
+				if gerr != nil {
+					return gerr
+				}
+				for _, g := range gres {
+					gv := GapVerdict{Gap: g.Target.Desc, Status: g.Status}
+					if g.Witness != nil {
+						gv.Schedule = g.Witness.Schedule.String()
 					}
 					report.GapVerdicts = append(report.GapVerdicts, gv)
 				}
-				sp.End()
 			}
 		}
 
@@ -179,8 +188,7 @@ func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *Rep
 		// race-directed schedules on every previously racing location
 		// (the interleavings that broke it before), then seeded
 		// random-priority schedules.
-		locs := targetLocs(targets)
-		scheds := adversary.VerifySchedules(locs, k, opts.SchedSeed)
+		scheds := adversary.VerifySchedules(sortedLocs(locs), k, opts.SchedSeed)
 		sp := tr.Start("adversarial-verify").SetInt("schedules", int64(len(scheds)))
 		vrep, verr := adversary.Verify(p.info, oracle, scheds, sopts)
 		if verr != nil {
@@ -190,7 +198,7 @@ func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *Rep
 		sp.SetInt("failures", int64(vrep.Failures)).End()
 		ar := &AdversaryReport{Schedules: len(vrep.Schedules), Failures: vrep.Failures, Seed: opts.SchedSeed}
 		if vrep.First != nil {
-			w := convertWitness(vrep.First, "")
+			w := convertWitness(vrep.First)
 			ar.First = &w
 		}
 		report.Adversary = ar
@@ -205,17 +213,14 @@ func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *Rep
 	return stageErr
 }
 
-func targetLocs(targets []adversary.RaceTarget) []uint64 {
-	seen := map[uint64]bool{}
-	var locs []uint64
-	for _, t := range targets {
-		if !seen[t.Loc] {
-			seen[t.Loc] = true
-			locs = append(locs, t.Loc)
-		}
+// sortedLocs lists the locations in ascending order.
+func sortedLocs(locs map[uint64]struct{}) []uint64 {
+	out := make([]uint64, 0, len(locs))
+	for l := range locs {
+		out = append(out, l)
 	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	return locs
+	slices.Sort(out)
+	return out
 }
 
 // foldAdversary records the stage's results in the provenance record.
@@ -286,7 +291,7 @@ func (p *Program) Stress(ctx context.Context, opts StressOptions) (*StressReport
 			}
 		}
 		if vrep.First != nil {
-			w := convertWitness(vrep.First, "")
+			w := convertWitness(vrep.First)
 			rep.First = &w
 		}
 		return nil

@@ -3,12 +3,14 @@ package tdr_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"finishrepair/internal/bench"
+	"finishrepair/internal/obs"
 	"finishrepair/tdr"
 )
 
@@ -207,25 +209,28 @@ func TestStressBudget(t *testing.T) {
 }
 
 // TestBenchWitnessAndVerify is the acceptance sweep: strip the finishes
-// from every bundled benchmark, repair, and require that (a) the races
-// the repair reported were replayed to concrete witnesses and (b) the
-// repaired program survives the full K=16 adversarial verification
-// against the serial oracle.
+// from every bundled benchmark at its repair size, repair, and require
+// that (a) every static race of the explain record was replayed to a
+// concrete witness, one witness per static race, and (b) the repaired
+// program survives the full K=16 adversarial verification against the
+// serial oracle.
 func TestBenchWitnessAndVerify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adversarial sweep is slow")
+	}
+	// Static races per finish-stripped program at repair size.
+	classes := map[string]int{
+		"Fibonacci": 4, "Quicksort": 1, "Mergesort": 4, "Spanning Tree": 6,
+		"Nqueens": 2, "Series": 1, "SOR": 3, "Crypt": 3, "Sparse": 3,
+		"LUFact": 5, "FannKuch": 1, "Mandelbrot": 1,
 	}
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			size := b.RepairSize
-			if size > 12 {
-				size = 12
-			}
-			p := mustLoad(t, b.Src(size))
+			p := mustLoad(t, b.Src(b.RepairSize))
 			p.StripFinishes()
-			rep, err := p.Repair(tdr.RepairOptions{Witness: true, SchedSeed: 1})
+			rep, err := p.Repair(tdr.RepairOptions{Witness: true, Explain: true, SchedSeed: 1})
 			if err != nil {
 				var ae *tdr.AdversaryError
 				if errors.As(err, &ae) {
@@ -240,8 +245,101 @@ func TestBenchWitnessAndVerify(t *testing.T) {
 				t.Fatalf("%d/%d adversarial schedules diverged; first: %+v",
 					rep.Adversary.Failures, rep.Adversary.Schedules, rep.Adversary.First)
 			}
-			if rep.RacesFound > 0 && len(rep.Witnesses) == 0 {
-				t.Errorf("%d races reported but none replayed to a witness", rep.RacesFound)
+			static := make(map[string]bool)
+			for _, it := range rep.Explain.Iterations {
+				for _, g := range it.Groups {
+					for _, c := range g.Classes {
+						static[fmt.Sprintf("%s %s vs %s", c.Kind, orUnknown(c.First.Pos), orUnknown(c.Second.Pos))] = true
+					}
+				}
+			}
+			if len(static) != classes[b.Name] {
+				t.Errorf("%d static races in the explain record, want %d", len(static), classes[b.Name])
+			}
+			witnessed, races := make(map[string]bool), 0
+			for _, w := range rep.Witnesses {
+				if witnessed[w.Race] {
+					t.Errorf("static race %s witnessed twice", w.Race)
+				}
+				witnessed[w.Race] = true
+				races += w.Races
+			}
+			for c := range static {
+				if !witnessed[c] {
+					t.Errorf("static race %s has no witness", c)
+				}
+			}
+			if len(rep.Witnesses) != len(static) || races != rep.RacesFound {
+				t.Errorf("%d witnesses for %d races, want %d (one per static race) for the %d races found",
+					len(rep.Witnesses), races, len(static), rep.RacesFound)
+			}
+		})
+	}
+}
+
+func orUnknown(pos string) string {
+	if pos == "" {
+		return "?"
+	}
+	return pos
+}
+
+// TestGapSearchVerdictsPinned pins the gap search's verdicts on four
+// finish-stripped Table-1 programs at repair size, and bounds its
+// schedule runs: each gap runs at most its two defer-pos schedules, and
+// the random schedules run once for all gaps.
+func TestGapSearchVerdictsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("gap search at repair size is slow")
+	}
+	want := map[string]map[string]int{
+		"FannKuch":  {tdr.GapNoDivergence: 56},
+		"Quicksort": {tdr.GapNoDivergence: 18},
+		"LUFact":    {tdr.GapNoDivergence: 2, tdr.GapUnreachable: 12},
+		"Nqueens":   {tdr.GapNoDivergence: 16, tdr.GapUnreachable: 5},
+	}
+	for _, b := range bench.All() {
+		b, verdicts := b, want[b.Name]
+		if verdicts == nil {
+			continue
+		}
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			tr := obs.New()
+			p, err := tdr.LoadTraced(b.Src(b.RepairSize), tr)
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			p.StripFinishes()
+			rep, err := p.Repair(tdr.RepairOptions{Witness: true, Vet: true, SchedSeed: 1})
+			if err != nil {
+				t.Fatalf("Repair: %v", err)
+			}
+			got := make(map[string]int)
+			for _, gv := range rep.GapVerdicts {
+				got[gv.Status]++
+			}
+			if !reflect.DeepEqual(got, verdicts) {
+				t.Errorf("gap verdicts %v, want %v", got, verdicts)
+			}
+			spans := 0
+			for _, r := range tr.Records() {
+				if r.Name != "gap-search" {
+					continue
+				}
+				spans++
+				attrs := make(map[string]int64)
+				for _, a := range r.Attrs {
+					attrs[a.Key] = a.Int
+				}
+				gaps, runs := attrs["gaps"], attrs["schedules"]
+				if gaps != int64(len(rep.GapVerdicts)) || runs < 1 || runs > 2*gaps+16 {
+					t.Errorf("gap-search span: %d gaps, %d schedule runs; want %d gaps and 1 to 2*gaps+16 runs",
+						gaps, runs, len(rep.GapVerdicts))
+				}
+			}
+			if spans != 1 {
+				t.Errorf("%d gap-search spans, want 1", spans)
 			}
 		})
 	}

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 
-	"finishrepair/internal/adversary"
 	"finishrepair/internal/analysis"
 	"finishrepair/internal/cpl"
 	"finishrepair/internal/dpst"
@@ -313,13 +312,15 @@ type RepairOptions struct {
 	// reach.
 	Vet bool
 	// Explain records the structured provenance of the repair — per
-	// iteration: the NS-LCA groups with their race pairs and DP placement
-	// decisions, and the critical-path length — in RepairReport.Explain
-	// (hjrepair's -explain flag). Costs one CPL analysis per round.
+	// iteration: the NS-LCA groups with their static race classes and DP
+	// placement decisions, and the critical-path length — in
+	// RepairReport.Explain (hjrepair's -explain flag). Costs one CPL
+	// analysis per round.
 	Explain bool
-	// Witness replays every reported race under deterministic
-	// race-directed schedules on the original program until it observably
-	// diverges from the serial oracle, recording the divergence in
+	// Witness replays each static race (its kind and its source and sink
+	// statements; see race.Class) under deterministic race-directed
+	// schedules on the original program until it observably diverges
+	// from the serial oracle, recording the divergence in
 	// RepairReport.Witnesses; with Vet it also drives the coverage gaps
 	// with position-directed schedules (RepairReport.GapVerdicts). It
 	// implies a post-repair adversarial verification of
@@ -377,13 +378,14 @@ type RepairReport struct {
 	// these pairs are where other inputs could still race.
 	CoverageGaps []CoverageGap
 	// Explain is the finalized provenance record (RepairOptions.Explain
-	// only): per round, the NS-LCA groups with their races and DP effort,
-	// and one entry per inserted scope naming the groups that chose it,
-	// with its CPL before/after.
+	// only): per round, the NS-LCA groups with their race classes and
+	// DP effort, and one entry per inserted scope naming the groups that
+	// chose it, with its CPL before/after.
 	Explain *Explain
-	// Witnesses replays each reported race to a concrete divergence
-	// (RepairOptions.Witness only): one entry per race a deterministic
-	// schedule made observably misbehave on the original program.
+	// Witnesses replays each static race to a concrete divergence
+	// (RepairOptions.Witness only): one entry, with its dynamic-race
+	// count, per static race a deterministic schedule made observably
+	// misbehave on the original program, in first-detected order.
 	Witnesses []Witness
 	// Adversary summarizes the post-repair K-schedule verification
 	// (RepairOptions.Witness or AdversarySchedules > 0).
@@ -477,29 +479,26 @@ func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairRep
 	}
 	// Adversary mode snapshots the pre-repair source (witnesses replay
 	// the races where they were reported) and collects every detection
-	// round's races as replay targets, deduplicated across rounds.
+	// round's racing locations, which the verification directs schedules
+	// at, and with Witness its races' static classes, the witness
+	// search's targets.
 	adv := opts.Witness || opts.AdversarySchedules > 0
 	var origSrc string
-	var targets []adversary.RaceTarget
+	var classes race.ClassSet
+	var locs map[uint64]struct{}
 	if adv {
 		origSrc = printer.Print(p.info.Prog)
-		seen := map[adversary.RaceTarget]bool{}
+		locs = make(map[uint64]struct{})
 		prev := ropts.OnRaces
 		ropts.OnRaces = func(races []*race.Race) {
 			if prev != nil {
 				prev(races)
 			}
+			if opts.Witness {
+				classes.Add(races)
+			}
 			for _, r := range races {
-				t := adversary.RaceTarget{
-					Loc:    r.Loc,
-					Kind:   r.Kind.String(),
-					SrcPos: r.Src.StmtPos(),
-					DstPos: r.Dst.StmtPos(),
-				}
-				if !seen[t] {
-					seen[t] = true
-					targets = append(targets, t)
-				}
+				locs[r.Loc] = struct{}{}
 			}
 		}
 	}
@@ -539,7 +538,7 @@ func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairRep
 			// cancellation, and engine disagreement skip the stage.
 			var mi *repair.MaxIterationsError
 			if err == nil || errors.As(err, &mi) {
-				advErr = p.adversaryStage(opts, m, report, origSrc, targets, res, err != nil)
+				advErr = p.adversaryStage(opts, m, report, origSrc, classes.Classes(), locs, res, err != nil)
 			}
 		}
 		if ex != nil {
