@@ -82,10 +82,13 @@ type Group struct {
 	Chosen   []Finish `json:"chosen,omitempty"`
 	DPStates int64    `json:"dp_states"`
 	Vertices int      `json:"vertices,omitempty"`
-	Edges    int      `json:"edges,omitempty"`
-	Fallback bool     `json:"fallback,omitempty"`
-	Applied  bool     `json:"applied"`
-	Note     string   `json:"note,omitempty"`
+	// DPVertices is the vertex count the DP solved over once serial runs
+	// merged, set only when that is fewer than Vertices.
+	DPVertices int    `json:"dp_vertices,omitempty"`
+	Edges      int    `json:"edges,omitempty"`
+	Fallback   bool   `json:"fallback,omitempty"`
+	Applied    bool   `json:"applied"`
+	Note       string `json:"note,omitempty"`
 	// Strategy records the repair strategy chosen for this group
 	// ("finish" or "isolated") when the loop evaluated alternatives, and
 	// StrategyWhy the reason. FinishSpan/IsolatedSpan are the probed
@@ -380,6 +383,9 @@ func (g *Group) why() string {
 func (g *Group) how() string {
 	if g.Fallback {
 		return "fallback placement (DP budget exceeded; widest safe range)"
+	}
+	if g.DPVertices > 0 {
+		return fmt.Sprintf("DP explored %d states over %d of %d vertices", g.DPStates, g.DPVertices, g.Vertices)
 	}
 	return fmt.Sprintf("DP explored %d states", g.DPStates)
 }

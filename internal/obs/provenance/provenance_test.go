@@ -74,7 +74,7 @@ func TestFinalizeSharedScope(t *testing.T) {
 		{N: 0, CPL: &CPL{Work: 30, Span: 20}, Groups: []Group{
 			{LCA: Node{ID: 4, Kind: "async", Pos: "14:9"}, Classes: []RaceClass{{Races: 1, Locs: []uint64{1}}}, Chosen: []Finish{shared, shared}, Applied: true},
 			{LCA: Node{ID: 5, Kind: "async", Pos: "15:9"}, Classes: []RaceClass{{Races: 1, Locs: []uint64{2}}}, Chosen: []Finish{other}, Note: "deferred"},
-			{LCA: Node{ID: 6, Kind: "async", Pos: "16:9"}, Classes: []RaceClass{{Races: 1, Locs: []uint64{3}}, {Races: 1, Locs: []uint64{4}}}, Chosen: []Finish{shared}, Applied: true},
+			{LCA: Node{ID: 6, Kind: "async", Pos: "16:9"}, Classes: []RaceClass{{Races: 1, Locs: []uint64{3}}, {Races: 1, Locs: []uint64{4}}}, Chosen: []Finish{shared}, DPStates: 12, Vertices: 5, DPVertices: 3, Applied: true},
 		}},
 		{N: 1, CPL: &CPL{Work: 30, Span: 25}, Groups: []Group{
 			{LCA: Node{ID: 5, Kind: "async", Pos: "15:9"}, Classes: []RaceClass{{Races: 1, Locs: []uint64{2}}}, Chosen: []Finish{other}, Applied: true},
@@ -116,7 +116,7 @@ func TestFinalizeSharedScope(t *testing.T) {
 	for _, want := range []string{
 		"finish 1 (iteration 0): wrap statements 2..2 at 12:5\n  why: 2 NS-LCA groups chose it\n",
 		"  - 1 race(s) share NS-LCA async node #4 at 14:9; DP explored 0 states\n",
-		"  - 2 race(s) share NS-LCA async node #6 at 16:9; DP explored 0 states\n",
+		"  - 2 race(s) share NS-LCA async node #6 at 16:9; DP explored 12 states over 3 of 5 vertices\n",
 		"finish 2 (iteration 1): wrap statements 4..4 at 14:5\n  why: 1 race(s) share NS-LCA async node #5 at 15:9\n",
 	} {
 		if !strings.Contains(out, want) {

@@ -1,9 +1,9 @@
 package repair
 
 import (
+	"fmt"
 	"testing"
 
-	"finishrepair/internal/dpst"
 	"finishrepair/internal/lang/parser"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/race"
@@ -43,25 +43,55 @@ func main() {
 }
 `
 
-func TestDebugMergesortGroups(t *testing.T) {
-	prog := parser.MustParse(miniMergesort)
-	info := sem.MustCheck(prog)
-	_, _, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
+// wantGroup is one NS-LCA group a small program's round 0 must form:
+// its race count, its dependence-graph vertices and the vertices left
+// once serial runs merge, and its placements as printed.
+type wantGroup struct {
+	races, vertices, dpVertices int
+	placements                  string
+}
+
+// checkRoundZeroGroups detects the races of src, groups them by NS-LCA
+// and places each group, comparing the groups with want in NS-LCA order.
+// Each group's placement problem must also solve to the same cost and
+// finishes with and without the serial-run merge.
+func checkRoundZeroGroups(t *testing.T, src string, want []wantGroup) {
+	t.Helper()
+	_, _, det, err := race.Detect(sem.MustCheck(parser.MustParse(src)), race.VariantMRW, race.NewBagsOracle())
 	if err != nil {
 		t.Fatal(err)
 	}
 	groups := groupByNSLCA(det.Races())
-	for _, g := range groups {
-		nodes := dpst.NonScopeChildren(g.lca)
-		ps, _, err := placeGroup(g, nil)
-		if err != nil {
-			t.Fatalf("placeGroup: %v", err)
-		}
-		t.Logf("NS-LCA %v: %d races, %d vertices, placements %v", g.lca, len(g.races), len(nodes), ps)
-		for i, n := range nodes {
-			t.Logf("  v%d: %v owner=%v stmts=%d..%d work=%d", i, n, blockID(n), n.StmtLo, n.StmtHi, n.SubtreeWork)
-		}
+	if len(groups) != len(want) {
+		t.Fatalf("%d NS-LCA groups, want %d", len(groups), len(want))
 	}
+	for i, g := range groups {
+		ps, info, err := placeGroup(g, nil)
+		if err != nil {
+			t.Fatalf("group %d (NS-LCA %v): %v", i, g.lca, err)
+		}
+		got := wantGroup{races: len(g.races), vertices: info.Vertices, dpVertices: info.DPVertices, placements: fmt.Sprint(ps)}
+		if got != want[i] {
+			t.Errorf("group %d (NS-LCA %v): got %+v, want %+v", i, g.lca, got, want[i])
+		}
+		nodes, edges, err := depGraph(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkContraction(t, fmt.Sprintf("group %d", i), placementProblem(nodes, edges, nil))
+	}
+}
+
+// TestDebugMergesortGroups pins round 0 of a small unscoped mergesort:
+// one group at the root and one per recursive async, each wrapping the
+// two recursive asyncs (statements 1..2 of the if body) in a finish.
+func TestDebugMergesortGroups(t *testing.T) {
+	fin := "[finish around stmts 1..2 of block 2]"
+	checkRoundZeroGroups(t, miniMergesort, []wantGroup{
+		{races: 112, vertices: 8, dpVertices: 8, placements: fin},
+		{races: 24, vertices: 7, dpVertices: 7, placements: fin},
+		{races: 24, vertices: 7, dpVertices: 7, placements: fin},
+	})
 }
 
 const miniSrc = `
@@ -82,40 +112,12 @@ func main() {
 }
 `
 
+// TestDebugPlacements pins round 0 of a program whose two async workers
+// race with a serial pass over the same array: one group at the root,
+// repaired by one finish around the two asyncs (statements 0..1 of
+// split's body).
 func TestDebugPlacements(t *testing.T) {
-	prog := parser.MustParse(miniSrc)
-	info := sem.MustCheck(prog)
-	_, _, det, err := race.Detect(info, race.VariantMRW, race.NewBagsOracle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("races: %d", len(det.Races()))
-	groups := groupByNSLCA(det.Races())
-	for _, g := range groups {
-		nodes := dpst.NonScopeChildren(g.lca)
-		t.Logf("NS-LCA %v: %d races, %d vertices", g.lca, len(g.races), len(nodes))
-		for i, n := range nodes {
-			t.Logf("  v%d: %v owner=%v stmts=%d..%d work=%d", i, n,
-				blockID(n), n.StmtLo, n.StmtHi, n.SubtreeWork)
-		}
-		for _, r := range g.races {
-			sc := dpst.NonScopeChildOn(g.lca, r.Src)
-			dc := dpst.NonScopeChildOn(g.lca, r.Dst)
-			t.Logf("  race %v: %v -> %v", r, sc, dc)
-		}
-		ps, _, err := placeGroup(g, nil)
-		if err != nil {
-			t.Fatalf("placeGroup: %v", err)
-		}
-		for _, p := range ps {
-			t.Logf("  placement: %v", p)
-		}
-	}
-}
-
-func blockID(n *dpst.Node) int {
-	if n.OwnerBlock == nil {
-		return -1
-	}
-	return n.OwnerBlock.ID
+	checkRoundZeroGroups(t, miniSrc, []wantGroup{
+		{races: 25, vertices: 7, dpVertices: 7, placements: "[finish around stmts 0..1 of block 4]"},
+	})
 }

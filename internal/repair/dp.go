@@ -30,14 +30,15 @@ import (
 // predicate for candidate finish blocks.
 type Problem struct {
 	N     int
-	T     []int64  // execution time of each vertex
+	T     []int64  // execution time of each vertex, never negative
 	Async []bool   // whether vertex i is an async node
 	Edges [][2]int // dependence edges (races), x < y
 	// Valid reports whether a finish enclosing exactly vertices s..e is
 	// statically expressible (Algorithm 2 / scope rules). Nil means
 	// always valid. Solve memoizes it: each (s, e) is asked at most once,
-	// and only when some split needs a finish around s..e, so Valid must
-	// give the same answer for the whole Solve call.
+	// so Valid must give the same answer for the whole Solve call. Most
+	// questions come from splits that need a finish around s..e; the
+	// serial-run pass also asks about blocks that no split needs.
 	Valid func(s, e int) bool
 	// Meter, when set, charges explored DP states against the pipeline's
 	// shared budget and checks cancellation between cells; Solve returns
@@ -60,8 +61,10 @@ type Solution struct {
 	Finishes []FinishBlock
 	// States counts the (i, k, j) partition candidates the DP evaluated —
 	// the work metric surfaced by the tracer and the repair.dp_states
-	// counter.
-	States int64
+	// counter — over the Vertices vertices left once Solve merged the
+	// serial runs.
+	States   int64
+	Vertices int
 }
 
 const inf = int64(math.MaxInt64 / 4)
@@ -77,11 +80,150 @@ const (
 // set with Algorithm 3. It returns an error when some dependence cannot
 // be satisfied by any statically valid finish placement.
 //
+// Solve first merges every serial run of p into one vertex (serialRuns)
+// and runs the kernel, solveDense, on the smaller problem. The merge is
+// exact (DESIGN.md §16): the cost, the finish list (order included) and
+// whether the problem is satisfiable are those of solveDense on p.
+// Finishes and an *UnsatisfiableError name vertices of p; States,
+// Vertices and the Meter's charge count the merged problem.
+func Solve(p *Problem) (*Solution, error) {
+	n := p.N
+	// Without VALID every vertex starts a valid block, so nothing merges.
+	if n == 0 || p.Valid == nil || len(p.T) != n || len(p.Async) != n {
+		return solveDense(p, nil)
+	}
+	vm := &validMemo{n: n, valid: p.Valid, memo: make([]uint8, n*n)}
+	starts := serialRuns(p, vm)
+	if starts == nil {
+		return solveDense(p, vm.memo)
+	}
+	return solveMerged(p, vm, starts)
+}
+
+// solveMerged runs the kernel on p with every serial run merged: vertex
+// r of the merged problem is the run starts[r]..last(r), and its VALID
+// reads vm at the run's ends.
+func solveMerged(p *Problem, vm *validMemo, starts []int) (*Solution, error) {
+	n, nc := p.N, len(starts)
+	last := func(r int) int {
+		if r+1 < nc {
+			return starts[r+1] - 1
+		}
+		return n - 1
+	}
+	c := &Problem{
+		N:     nc,
+		T:     make([]int64, nc),
+		Async: make([]bool, nc),
+		Edges: make([][2]int, len(p.Edges)),
+		Valid: func(i, k int) bool { return vm.ask(starts[i], last(k)) },
+		Meter: p.Meter,
+	}
+	run := make([]int, n)
+	for r, s := range starts {
+		c.Async[r] = p.Async[s]
+		for v := s; v <= last(r); v++ {
+			c.T[r] += p.T[v]
+			run[v] = r
+		}
+	}
+	for i, e := range p.Edges {
+		c.Edges[i] = [2]int{run[e[0]], run[e[1]]}
+	}
+	sol, err := solveDense(c, nil)
+	if u, ok := err.(*UnsatisfiableError); ok {
+		u.I, u.J = starts[u.I], last(u.J)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i, f := range sol.Finishes {
+		sol.Finishes[i] = FinishBlock{S: starts[f.S], E: last(f.E)}
+	}
+	return sol, nil
+}
+
+// serialRuns returns the first vertex of every maximal serial run of p,
+// in order, or nil when no two vertices merge. A serial run is a
+// stretch of consecutive vertices that are all non-async and touch no
+// edge, with no valid block starting after its first vertex or ending
+// before its last. The VALID answers it needs go into vm.
+func serialRuns(p *Problem, vm *validMemo) []int {
+	n := p.N
+	touched := make([]bool, n)
+	for _, e := range p.Edges {
+		touched[e[0]], touched[e[1]] = true, true
+	}
+	var joins []int // vertices that continue the run of the one before
+	for v := 1; v < n; v++ {
+		if p.Async[v-1] || p.Async[v] || touched[v-1] || touched[v] || vm.endsAt(v-1) || vm.startsAt(v) {
+			continue
+		}
+		joins = append(joins, v)
+	}
+	if joins == nil {
+		return nil
+	}
+	starts := make([]int, 0, n-len(joins))
+	for v := 0; v < n; v++ {
+		if len(joins) > 0 && joins[0] == v {
+			joins = joins[1:]
+			continue
+		}
+		starts = append(starts, v)
+	}
+	return starts
+}
+
+// validMemo asks Valid at most once per block. memo is the kernel's n×n
+// row-major table (validUnknown until block s..e is asked), so
+// solveDense can start from it.
+type validMemo struct {
+	n     int
+	valid func(s, e int) bool
+	memo  []uint8
+}
+
+func (m *validMemo) ask(s, e int) bool {
+	v := &m.memo[s*m.n+e]
+	if *v == validUnknown {
+		*v = validNo
+		if m.valid(s, e) {
+			*v = validYes
+		}
+	}
+	return *v == validYes
+}
+
+// startsAt reports whether some valid block starts at vertex s.
+func (m *validMemo) startsAt(s int) bool {
+	for e := s; e < m.n; e++ {
+		if m.ask(s, e) {
+			return true
+		}
+	}
+	return false
+}
+
+// endsAt reports whether some valid block ends at vertex e.
+func (m *validMemo) endsAt(e int) bool {
+	for s := e; s >= 0; s-- {
+		if m.ask(s, e) {
+			return true
+		}
+	}
+	return false
+}
+
+// solveDense is the kernel of Solve: Algorithm 1 over every vertex of p.
+// memo, when not nil, is p's VALID memo in validMemo's layout, possibly
+// partly filled; nil starts an empty one.
+//
 // Every table is n×n and row-major, so the k-loop of cell (i, j) reads
 // only contiguous runs: the left halves opt/est[i][i..j-1] and the
 // crossing bounds reach[i][i..j-1] from row i, the right halves
 // opt/est[i+1..j][j] from row j of the transposed copies.
-func Solve(p *Problem) (*Solution, error) {
+func solveDense(p *Problem, memo []uint8) (*Solution, error) {
 	n := p.N
 	if n == 0 {
 		return &Solution{}, nil
@@ -95,7 +237,9 @@ func Solve(p *Problem) (*Solution, error) {
 	}
 
 	reach := newReach(n, p.Edges)
-	memo := make([]uint8, n*n) // VALID(i, k), filled on first use
+	if memo == nil {
+		memo = make([]uint8, n*n) // VALID(i, k), filled on first use
+	}
 	opt := make([]int64, n*n)
 	optT := make([]int64, n*n) // optT[j*n+i] = opt[i*n+j]
 	est := make([]int64, n*n)  // est[i][j]: earliest start of j+1 given block i..j
@@ -111,7 +255,7 @@ func Solve(p *Problem) (*Solution, error) {
 		}
 	}
 
-	sol := &Solution{}
+	sol := &Solution{Vertices: n}
 	for s := 2; s <= n; s++ {
 		for i := 0; i+s-1 < n; i++ {
 			j := i + s - 1

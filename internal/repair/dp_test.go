@@ -46,7 +46,7 @@ func solveReference(p *Problem) (*Solution, error) {
 		}
 	}
 
-	sol := &Solution{}
+	sol := &Solution{Vertices: n}
 	for s := 2; s <= n; s++ {
 		for i := 0; i+s-1 < n; i++ {
 			j := i + s - 1
@@ -203,10 +203,13 @@ func randomProblem(rng *rand.Rand, maxN int) *Problem {
 	return p
 }
 
-// TestSolveMatchesReference checks Solve against solveReference: the
-// same cost, finish set (order included), state count and error — the
-// same unsatisfiable block, the same budget trip — and VALID asked at
-// most once per block, for exactly the blocks the reference asks about.
+// TestSolveMatchesReference checks Solve's kernel, solveDense, against
+// solveReference: the same cost, finish set (order included), state
+// count and error — the same unsatisfiable block, the same budget trip —
+// and VALID asked at most once per block, for exactly the blocks the
+// reference asks about. Solve's serial-run merge changes the state
+// count and asks about more blocks; TestSolveMatchesDenseKernel checks
+// it against the kernel.
 func TestSolveMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var solved, unsat, tripped int
@@ -236,7 +239,7 @@ func TestSolveMatchesReference(t *testing.T) {
 		asked := make(map[[2]int]int)
 		p.Valid = func(s, e int) bool { asked[[2]int{s, e}]++; return valid(s, e) }
 		p.Meter = meter()
-		got, gotErr := Solve(p)
+		got, gotErr := solveDense(p, nil)
 
 		for b, c := range asked {
 			if c > 1 {

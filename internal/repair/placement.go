@@ -268,13 +268,15 @@ func degradeGroup(g *group) ([]Placement, error) {
 }
 
 // placeInfo records how one group's placement went — DP states
-// explored, the dependence-graph size, and whether the sound fallback
-// was taken — for metrics and provenance.
+// explored, the dependence-graph size, the vertices the DP solved over
+// once serial runs merged (0 when it did not run), and whether the
+// sound fallback was taken — for metrics and provenance.
 type placeInfo struct {
-	States   int64
-	Vertices int
-	Edges    int
-	Fallback bool
+	States     int64
+	Vertices   int
+	DPVertices int
+	Edges      int
+	Fallback   bool
 }
 
 // maxGraph bounds the dependence-graph size handled by the O(n^3) DP;
@@ -304,23 +306,7 @@ func placeGroup(g *group, m *guard.Meter) ([]Placement, placeInfo, error) {
 		return ps, info, err
 	}
 
-	prob := &Problem{
-		N:     len(nodes),
-		T:     make([]int64, len(nodes)),
-		Async: make([]bool, len(nodes)),
-		Edges: edges,
-		Valid: func(s, e int) bool {
-			_, ok := computeWrap(nodes, s, e)
-			return ok
-		},
-		Meter: m,
-	}
-	for i, n := range nodes {
-		prob.T[i] = n.SubtreeWork
-		prob.Async[i] = n.Kind == dpst.Async
-	}
-
-	sol, err := Solve(prob)
+	sol, err := Solve(placementProblem(nodes, edges, m))
 	if err != nil {
 		var unsat *UnsatisfiableError
 		if errors.As(err, &unsat) {
@@ -331,7 +317,7 @@ func placeGroup(g *group, m *guard.Meter) ([]Placement, placeInfo, error) {
 		return nil, info, err
 	}
 	mDPStates.Add(sol.States)
-	info.States = sol.States
+	info.States, info.DPVertices = sol.States, sol.Vertices
 
 	var out []Placement
 	for i, fb := range sol.Finishes {
@@ -346,6 +332,27 @@ func placeGroup(g *group, m *guard.Meter) ([]Placement, placeInfo, error) {
 		out = append(out, toPlacement(widen(nodes, sol.Finishes, i, w)))
 	}
 	return out, info, nil
+}
+
+// placementProblem is the §5.2 instance of a dependence graph: vertex
+// times are subtree work, and VALID is computeWrap's verdict.
+func placementProblem(nodes []*dpst.Node, edges [][2]int, m *guard.Meter) *Problem {
+	p := &Problem{
+		N:     len(nodes),
+		T:     make([]int64, len(nodes)),
+		Async: make([]bool, len(nodes)),
+		Edges: edges,
+		Valid: func(s, e int) bool {
+			_, ok := computeWrap(nodes, s, e)
+			return ok
+		},
+		Meter: m,
+	}
+	for i, n := range nodes {
+		p.T[i] = n.SubtreeWork
+		p.Async[i] = n.Kind == dpst.Async
+	}
+	return p
 }
 
 // widen hoists a finish block to the highest expressible scope when it

@@ -71,7 +71,7 @@ func runIndexed(n, workers int, fn func(worker, i int)) {
 // may substitute an alternative repair (isolated wrapping); it runs in
 // the sequential accumulation pass, in group order, so strategy choice
 // is identical for any worker count.
-func placeGroups(groups []*group, m *guard.Meter, workers int, span *obs.Span, selector func(*group, []Placement) ([]Placement, *strategyChoice)) (placements []Placement, outcomes []groupOutcome, states int64, degradedReason string, err error) {
+func placeGroups(groups []*group, m *guard.Meter, workers int, span *obs.Span, selector func(*group, []Placement) ([]Placement, *strategyChoice)) (placements []Placement, outcomes []groupOutcome, degradedReason string, err error) {
 	type result struct {
 		ps      []Placement
 		info    placeInfo
@@ -158,7 +158,6 @@ func placeGroups(groups []*group, m *guard.Meter, workers int, span *obs.Span, s
 		o.g = groups[i]
 		o.ps = r.ps
 		o.info = r.info
-		states += r.info.States
 		mDPStatesPerGroup.Observe(r.info.States)
 		if r.tripped != nil && degradedReason == "" {
 			mDegraded.Inc()
@@ -199,9 +198,9 @@ func placeGroups(groups []*group, m *guard.Meter, workers int, span *obs.Span, s
 		}
 	}
 	if err != nil {
-		return nil, outcomes, states, degradedReason, err
+		return nil, outcomes, degradedReason, err
 	}
-	return placements, outcomes, states, degradedReason, nil
+	return placements, outcomes, degradedReason, nil
 }
 
 // uniquePlacements drops repeated placements in place, keeping each

@@ -89,6 +89,9 @@ func provGroup(o groupOutcome) provenance.Group {
 		Applied:  o.applied,
 		Note:     o.note,
 	}
+	if o.info.DPVertices != o.info.Vertices {
+		g.DPVertices = o.info.DPVertices
+	}
 	for _, n := range dpst.NonScopeChildren(o.g.lca) {
 		g.Candidates = append(g.Candidates, provNode(n))
 	}

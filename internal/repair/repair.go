@@ -439,7 +439,7 @@ func RepairChecked(info *sem.Info, opts Options) (*Report, error) {
 			}
 			var reason string
 			var perr error
-			placements, outcomes, it.DPStates, reason, perr = placeGroups(groups, opts.Meter, opts.Workers, placeSpan, selector)
+			placements, outcomes, reason, perr = placeGroups(groups, opts.Meter, opts.Workers, placeSpan, selector)
 			if reason != "" {
 				rep.Degraded = true
 				if rep.DegradedReason == "" {
@@ -448,7 +448,13 @@ func RepairChecked(info *sem.Info, opts Options) (*Report, error) {
 			}
 			return perr
 		})
+		var dpVertices int64
+		for _, o := range outcomes {
+			it.DPStates += o.info.States
+			dpVertices += int64(o.info.DPVertices)
+		}
 		placeSpan.SetInt("dp_states", it.DPStates).
+			SetInt("dp_vertices", dpVertices).
 			SetInt("placements", int64(len(placements))).
 			End()
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 
 // strippedTable1 parses a Table-1 program at repair size with its
 // finishes stripped: every such capture fills full-size trace chunks.
-func strippedTable1(t *testing.T, name string) *ast.Program {
+func strippedTable1(t testing.TB, name string) *ast.Program {
 	t.Helper()
 	b := bench.Get(name)
 	prog := parser.MustParse(b.Src(b.RepairSize))
